@@ -1,100 +1,181 @@
-//! `perf_guard` — the perf-regression gate of the CI guardrail job.
-//!
-//! Two modes:
-//!
-//! * **Baseline mode** (the default): compares a freshly generated
-//!   `BENCH_PR2.json` (see `perf_report`) against the checked-in
-//!   `BENCH_BASELINE.json` and fails (exit 1) when any guarded metric
-//!   regressed beyond the relative tolerance. The guarded metrics are
-//!   deliberately **machine-relative ratios**, not raw nanoseconds: both
-//!   sides of each ratio are measured in the same process on the same host,
-//!   so the comparison is stable across runner generations while still
-//!   catching real regressions of the hot paths:
-//!
-//!   * `head_to_head.trial_scoring_48slots.speedup` — the allocation
-//!     kernel's advantage over the naive trial scorer (higher is better);
-//!   * `head_to_head.full_net_lengths.speedup` — the evaluation kernel's
-//!     advantage over the naive full evaluation (higher is better);
-//!   * `head_to_head.goodness_pass.ratio_vs_naive_eval` — the per-cell
-//!     goodness pass cost relative to a naive full evaluation on the same
-//!     host (lower is better).
-//!
-//! * **`--pr6` mode**: gates a fresh `BENCH_PR6.json` (the persistent-epoch
-//!   snapshot) on absolute multi-core speedup floors — the fused windowed
-//!   iteration must reach ≥ 2× on a 4-worker pool versus serial, and the
-//!   exhaustive intra-rank path must not be slower than serial at 2 or 4
-//!   chunks. On a host with fewer than 4 cores the gate skips with a
-//!   notice instead of failing: the floors are statements about parallel
-//!   hardware, and a single-core container can only honestly report ≈ 1×.
-//!
-//! * **`--pr7` mode**: gates a fresh `BENCH_PR7.json` (the bound-pruned
-//!   allocation snapshot) — the pruned serial windowed iteration must be
-//!   ≥ 1.3× faster than the legacy exhaustive arm of the same in-process
-//!   A/B, and the two arms must have agreed bit for bit. Both arms run
-//!   serially on the same host, so the ratio is machine-relative and —
-//!   unlike `--pr6` — there is **no low-core skip**: a single-core runner
-//!   is gated exactly like a 32-core one.
-//!
-//! Usage:
+//! `perf_guard` — the perf gate. It measures the guarded quantities in this
+//! process and checks each against its bound in [`GATES`]; it takes no flags
+//! and writes no files:
 //!
 //! ```text
-//! perf_guard [--baseline BENCH_BASELINE.json] [--fresh BENCH_PR2.json]
-//!            [--tolerance 0.25]
-//! perf_guard --pr6 [--fresh BENCH_PR6.json]
-//! perf_guard --pr7 [--fresh BENCH_PR7.json]
+//! cargo run --release -p bench --bin perf_guard
 //! ```
 //!
-//! `--tolerance 0.25` (the default) fails on a > 25 % relative regression.
-//! A metric missing from the *fresh* report is a failure (the gate must not
-//! silently shrink); a metric missing from the *baseline* is skipped with a
-//! notice, so new metrics can be introduced before the baseline is re-pinned.
-//! Re-pin after an intentional perf change with:
+//! Three groups of gates, each measured only when its bounds apply to the
+//! host (the metric names continue the checked-in `BENCH_*.json` snapshots):
 //!
-//! ```text
-//! cargo run --release -p bench --bin perf_report -- --only pr2 --out BENCH_BASELINE.json
-//! ```
+//! * **head-to-head** (`BENCH_PR2.json`, pinned in `BENCH_BASELINE.json`) —
+//!   kernel against naive implementation on `s1196`, on the placement ten
+//!   seeded SimE iterations reach: trial scoring of the highest-degree cell
+//!   over 48 slots, a full net-length evaluation, and the per-cell goodness
+//!   pass against that naive evaluation, 200 reps each; each ratio is the
+//!   median of five such rounds. Both sides of each ratio are timed in the
+//!   same process, so the ratios are machine-relative and must stay within
+//!   25 % of their pinned baselines.
+//! * **bound-pruning** (`BENCH_PR7.json`) — the serial windowed iteration on
+//!   `s15850`, the default engine (bound-pruned trial scoring + incremental
+//!   goodness) against the legacy exhaustive arm, best of 3 reps of 2
+//!   iterations from identical seeded starts. It must reach 1.3× and the two
+//!   arms must agree bit for bit. Both arms are serial, so the floor applies
+//!   on every core count.
+//! * **persistent-epoch** (`BENCH_PR6.json`) — one fused `s15850` iteration,
+//!   serial against a persistent 4-worker pool at 2 and 4 chunks, for the
+//!   windowed and the exhaustive stride-8 allocation, best of 2 reps: the
+//!   windowed iteration must reach 2× at 4 chunks and the exhaustive one 1×
+//!   at 2 and 4 chunks, bitwise identical across chunk counts. The floors
+//!   are statements about parallel hardware, so on a host with fewer than 4
+//!   cores the group is skipped with a notice and not measured.
+//!
+//! Exits 1 when any gate fails. Every bound lives in [`GATES`]; re-pinning
+//! one means editing the table in a reviewed change, and
+//! `tests::gate_table_is_pinned` turns every such edit into a test diff.
 
-use bench::json::Json;
+use cluster_sim::comm::WorkerPool;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use sime_core::allocation::{AllocationConfig, AllocationStrategy};
+use sime_core::engine::{SimEConfig, SimEEngine};
+use sime_core::parallel::EvalContext;
+use sime_core::profile::ProfileReport;
+use std::hint::black_box;
+use std::sync::Arc;
+use std::time::Instant;
+use vlsi_netlist::bench_suite::{paper_circuit, ExtendedCircuit, PaperCircuit, SuiteCircuit};
+use vlsi_place::cost::Objectives;
+use vlsi_place::kernel::{NetLengthCache, TrialScorer};
+use vlsi_place::layout::{Placement, Slot};
 
-/// Whether a guarded metric regresses when it moves up or down.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    HigherIsBetter,
-    LowerIsBetter,
+/// A set of gates measured together and skipped together.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Group {
+    HeadToHead,
+    BoundPruning,
+    PersistentEpoch,
 }
 
-/// One guarded metric of the baseline gate: its dotted path in the report
-/// and its direction.
-const GUARDED: [(&str, Direction); 3] = [
-    (
-        "head_to_head.trial_scoring_48slots.speedup",
-        Direction::HigherIsBetter,
-    ),
-    (
-        "head_to_head.full_net_lengths.speedup",
-        Direction::HigherIsBetter,
-    ),
-    (
-        "head_to_head.goodness_pass.ratio_vs_naive_eval",
-        Direction::LowerIsBetter,
-    ),
+impl Group {
+    fn label(self) -> &'static str {
+        match self {
+            Group::HeadToHead => "head-to-head",
+            Group::BoundPruning => "bound-pruning",
+            Group::PersistentEpoch => "persistent-epoch",
+        }
+    }
+
+    /// Cores the group's bounds assume; on a smaller host the group is
+    /// skipped with a notice and not measured.
+    fn min_host_parallelism(self) -> usize {
+        match self {
+            Group::PersistentEpoch => 4,
+            Group::HeadToHead | Group::BoundPruning => 1,
+        }
+    }
+
+    fn measure(self) -> Measured {
+        match self {
+            Group::HeadToHead => measure_head_to_head(),
+            Group::BoundPruning => measure_bound_pruning(),
+            Group::PersistentEpoch => measure_persistent_epoch(),
+        }
+    }
+}
+
+/// What a gated metric must satisfy.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Bound {
+    /// Higher is better: at least the baseline less [`BASELINE_TOLERANCE`].
+    AtLeastBaseline(f64),
+    /// Lower is better: at most the baseline plus [`BASELINE_TOLERANCE`].
+    AtMostBaseline(f64),
+    /// A speedup of at least this factor.
+    Floor(f64),
+}
+
+/// Relative tolerance of a baseline bound.
+const BASELINE_TOLERANCE: f64 = 0.25;
+
+/// One gated metric.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Gate {
+    group: Group,
+    metric: &'static str,
+    /// The measured configuration, named in every line so a red run is
+    /// diagnosable from the log alone.
+    config: &'static str,
+    bound: Bound,
+}
+
+const TRIAL_SCORING: &str = "head_to_head.trial_scoring_48slots.speedup";
+const FULL_NET_LENGTHS: &str = "head_to_head.full_net_lengths.speedup";
+const GOODNESS_PASS: &str = "head_to_head.goodness_pass.ratio_vs_naive_eval";
+const PRUNED_VS_LEGACY: &str = "windowed_serial_speedup_vs_legacy";
+const WINDOWED_4_CHUNKS: &str = "windowed_speedup_threaded4_vs_serial";
+const EXHAUSTIVE_2_CHUNKS: &str = "exhaustive_speedup_2_chunks_vs_serial";
+const EXHAUSTIVE_4_CHUNKS: &str = "exhaustive_speedup_4_chunks_vs_serial";
+
+/// Every gate, in the order it is checked and printed.
+const GATES: [Gate; 7] = [
+    Gate {
+        group: Group::HeadToHead,
+        metric: TRIAL_SCORING,
+        config: "s1196, 48 slots, 200 reps",
+        bound: Bound::AtLeastBaseline(5.13),
+    },
+    Gate {
+        group: Group::HeadToHead,
+        metric: FULL_NET_LENGTHS,
+        config: "s1196, 200 reps",
+        bound: Bound::AtLeastBaseline(1.79),
+    },
+    Gate {
+        group: Group::HeadToHead,
+        metric: GOODNESS_PASS,
+        config: "s1196, 200 reps",
+        bound: Bound::AtMostBaseline(0.200),
+    },
+    Gate {
+        group: Group::BoundPruning,
+        metric: PRUNED_VS_LEGACY,
+        config: "serial windowed iteration; machine-relative, gated on every core count",
+        bound: Bound::Floor(1.3),
+    },
+    Gate {
+        group: Group::PersistentEpoch,
+        metric: WINDOWED_4_CHUNKS,
+        config: "threaded(4,ev4) windowed iteration",
+        bound: Bound::Floor(2.0),
+    },
+    Gate {
+        group: Group::PersistentEpoch,
+        metric: EXHAUSTIVE_2_CHUNKS,
+        config: "threaded(4,ev2) exhaustive intra-rank path",
+        bound: Bound::Floor(1.0),
+    },
+    Gate {
+        group: Group::PersistentEpoch,
+        metric: EXHAUSTIVE_4_CHUNKS,
+        config: "threaded(4,ev4) exhaustive intra-rank path",
+        bound: Bound::Floor(1.0),
+    },
 ];
 
-/// The `--pr6` floors: minimum host parallelism for the gate to apply, the
-/// fused windowed-iteration headline floor, and the intra-rank
-/// no-slower-than-serial floor.
-const PR6_MIN_HOST_PARALLELISM: f64 = 4.0;
-const PR6_WINDOWED_FLOOR: f64 = 2.0;
-const PR6_INTRA_RANK_FLOOR: f64 = 1.0;
+/// What one group's measurement produced.
+struct Measured {
+    group: Group,
+    /// The gated metrics, by name.
+    values: Vec<(&'static str, f64)>,
+    /// Whether the compared arms agreed bit for bit; `None` when the group
+    /// compares no arms.
+    bitwise_identical: Option<bool>,
+}
 
-/// The `--pr7` floor: the bound-pruned serial windowed iteration versus the
-/// legacy exhaustive arm of the same in-process A/B. Machine-relative, so it
-/// applies on every core count — there is no low-core skip.
-const PR7_SERIAL_FLOOR: f64 = 1.3;
-
-/// The outcome of one gate evaluation: every line to print (PASS, FAIL and
-/// SKIP alike, in order) plus the counts the exit code derives from. Pure
-/// data so the message content is unit-testable without files or exits.
+/// The outcome of a gate evaluation: every line to print (PASS, FAIL and
+/// SKIP alike, in order) plus the counts the exit code derives from.
 struct GateOutcome {
     lines: Vec<String>,
     checked: usize,
@@ -102,14 +183,6 @@ struct GateOutcome {
 }
 
 impl GateOutcome {
-    fn new() -> Self {
-        GateOutcome {
-            lines: Vec::new(),
-            checked: 0,
-            failures: 0,
-        }
-    }
-
     fn pass(&mut self, line: String) {
         self.checked += 1;
         self.lines.push(format!("  PASS {line}"));
@@ -125,176 +198,325 @@ impl GateOutcome {
     }
 }
 
-/// Evaluates the baseline gate: every guarded machine-relative ratio in
-/// `fresh` against `baseline` under the relative `tolerance`.
-fn evaluate_baseline_gate(baseline: &Json, fresh: &Json, tolerance: f64) -> GateOutcome {
-    let mut outcome = GateOutcome::new();
-    for (path, direction) in GUARDED {
-        let Some(base) = baseline.number(path) else {
+/// Checks `measured` against `gates` on a host with `host` cores. Groups
+/// are visited in table order; a group whose core requirement the host
+/// misses is skipped with one notice, and a gated metric absent from its
+/// measurement fails, so the gate cannot silently shrink.
+fn evaluate(gates: &[Gate], measured: &[Measured], host: usize) -> GateOutcome {
+    let mut outcome = GateOutcome {
+        lines: Vec::new(),
+        checked: 0,
+        failures: 0,
+    };
+    let mut groups: Vec<Group> = Vec::new();
+    for gate in gates {
+        if !groups.contains(&gate.group) {
+            groups.push(gate.group);
+        }
+    }
+    for group in groups {
+        let label = group.label();
+        let min = group.min_host_parallelism();
+        if host < min {
             outcome.skip(format!(
-                "{path}: not in the baseline yet (re-pin to start guarding it)"
-            ));
-            continue;
-        };
-        let Some(current) = fresh.number(path) else {
-            outcome.fail(format!("{path}: missing from the fresh report"));
-            continue;
-        };
-        if !(base.is_finite() && current.is_finite()) || base <= 0.0 {
-            outcome.fail(format!(
-                "{path}: non-finite or non-positive values ({base} vs {current})"
+                "{label} floors: host_parallelism={host} (detected via \
+                 std::thread::available_parallelism) is below the {min} cores \
+                 the floors assume — a {host}-core host can only honestly \
+                 report ≈ 1×; run on a multi-core host to gate"
             ));
             continue;
         }
-        let (bound, ok, movement) = match direction {
-            Direction::HigherIsBetter => {
-                let bound = base * (1.0 - tolerance);
-                (bound, current >= bound, "min allowed")
+        let measurement = measured.iter().find(|m| m.group == group);
+        if measurement.and_then(|m| m.bitwise_identical) == Some(false) {
+            outcome.fail(format!(
+                "bitwise_identical_across_configs: the {label} arms disagreed \
+                 on host_parallelism={host} — determinism before speed, fix \
+                 this first"
+            ));
+        }
+        for gate in gates.iter().filter(|g| g.group == group) {
+            let (metric, config) = (gate.metric, gate.config);
+            let value = measurement
+                .and_then(|m| m.values.iter().find(|(name, _)| *name == metric))
+                .map(|&(_, value)| value);
+            let Some(value) = value else {
+                outcome.fail(format!(
+                    "{metric}: missing from the {label} measurement \
+                     (host_parallelism={host}, {config})"
+                ));
+                continue;
+            };
+            let (ok, shown, required) = match gate.bound {
+                Bound::AtLeastBaseline(baseline) => {
+                    let bound = baseline * (1.0 - BASELINE_TOLERANCE);
+                    let required = format!("min allowed {bound:.3}, baseline {baseline:.3}");
+                    (value >= bound, format!("{value:.3}"), required)
+                }
+                Bound::AtMostBaseline(baseline) => {
+                    let bound = baseline * (1.0 + BASELINE_TOLERANCE);
+                    let required = format!("max allowed {bound:.3}, baseline {baseline:.3}");
+                    (value <= bound, format!("{value:.3}"), required)
+                }
+                Bound::Floor(floor) => (
+                    value >= floor,
+                    format!("{value:.2}x"),
+                    format!("the {floor:.2}x floor"),
+                ),
+            };
+            let line =
+                format!("{metric}: {shown} against {required} (host_parallelism={host}, {config})");
+            if ok {
+                outcome.pass(line);
+            } else {
+                outcome.fail(line);
             }
-            Direction::LowerIsBetter => {
-                let bound = base * (1.0 + tolerance);
-                (bound, current <= bound, "max allowed")
+        }
+    }
+    outcome
+}
+
+/// Times `f` over `reps` repetitions and returns total nanoseconds.
+fn time_ns<F: FnMut()>(reps: usize, mut f: F) -> u128 {
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    t0.elapsed().as_nanos()
+}
+
+/// Kernel-versus-naive ratios on `s1196`, each side timed over 200 reps,
+/// median of five rounds.
+fn measure_head_to_head() -> Measured {
+    const ITERS: usize = 10;
+    const REPS: usize = 200;
+    const ROUNDS: usize = 5;
+    let circuit = PaperCircuit::S1196;
+    let netlist = Arc::new(paper_circuit(circuit));
+    let config = SimEConfig::paper_defaults(Objectives::WirelengthPower, circuit.num_rows(), ITERS);
+    let engine = SimEEngine::new(Arc::clone(&netlist), config);
+
+    // The head-to-heads run on the placement ten seeded iterations reach.
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    let mut placement = engine.initial_placement(&mut rng);
+    let mut scratch = engine.new_scratch();
+    let mut profile = ProfileReport::new();
+    for _ in 0..ITERS {
+        black_box(engine.iterate(
+            &mut placement,
+            &mut scratch,
+            &mut rng,
+            &mut profile,
+            &[],
+            &[],
+        ));
+    }
+
+    // Trial scoring: the highest-degree cell, ripped up, over 48 slots.
+    let evaluator = engine.evaluator().clone();
+    let cell = netlist
+        .cell_ids()
+        .max_by_key(|&c| netlist.nets_of_cell(c).len())
+        .unwrap();
+    let mut ripped = placement.clone();
+    ripped.remove_cell(cell);
+    let slots: Vec<Slot> = (0..48)
+        .map(|i| {
+            let row = i % circuit.num_rows();
+            Slot {
+                row,
+                index: (i * 7) % (ripped.row(row).len() + 1),
             }
-        };
-        if ok {
-            outcome.pass(format!(
-                "{path}: {current:.3} (baseline {base:.3}, {movement} {bound:.3})"
-            ));
-        } else {
-            outcome.fail(format!(
-                "{path}: {current:.3} regressed past {movement} {bound:.3} (baseline {base:.3})"
-            ));
-        }
-    }
-    outcome
-}
+        })
+        .collect();
+    let mut scorer = TrialScorer::for_evaluator(&evaluator);
+    let mut cache = NetLengthCache::new();
+    let goodness_lengths = evaluator.net_lengths(&placement);
+    let mut goodness_buf = Vec::new();
 
-/// Evaluates the `--pr6` persistent-epoch gate on a fresh `BENCH_PR6.json`.
-///
-/// Every failure line names the host parallelism and the pool/chunk
-/// configuration of the offending run alongside the achieved-vs-required
-/// ratio pair, so a red CI leg is diagnosable from the log alone.
-fn evaluate_pr6_gate(report: &Json) -> GateOutcome {
-    let mut outcome = GateOutcome::new();
-    let Some(host) = report.number("host_parallelism") else {
-        outcome.fail("host_parallelism: missing from the PR6 report".to_string());
-        return outcome;
-    };
-    let workers = report.number("pool_workers").unwrap_or(4.0) as usize;
-    if host < PR6_MIN_HOST_PARALLELISM {
-        outcome.skip(format!(
-            "persistent-epoch floors: host_parallelism={host} (detected via \
-             std::thread::available_parallelism) is below the \
-             {PR6_MIN_HOST_PARALLELISM} cores the floors assume — a \
-             {host}-core host can only honestly report ≈ 1×; run on a \
-             multi-core runner to gate"
-        ));
-        return outcome;
+    // One round times every side once; each ratio is the median over the
+    // rounds, so one preempted timing window cannot flip the gate.
+    let mut rounds: [Vec<f64>; 3] = Default::default();
+    for _ in 0..ROUNDS {
+        let naive_trial_ns = time_ns(REPS, || {
+            for &slot in &slots {
+                let pos = ripped.trial_position(cell, slot);
+                black_box(evaluator.cell_cost_at(&ripped, cell, pos));
+            }
+        });
+        let kernel_trial_ns = time_ns(REPS, || {
+            scorer.prepare_cell(&evaluator, &ripped, cell);
+            for &slot in &slots {
+                let pos = ripped.trial_position(cell, slot);
+                black_box(scorer.prepared_cost_at(pos));
+            }
+        });
+        // Full evaluation: the kernel is forced onto its full-recompute path.
+        let naive_eval_ns = time_ns(REPS, || {
+            black_box(evaluator.net_lengths(&placement));
+        });
+        let kernel_eval_ns = time_ns(REPS, || {
+            cache.invalidate();
+            black_box(cache.refresh(&evaluator, &mut scorer, &placement).len());
+        });
+        // The per-cell goodness pass, relative to the naive full evaluation.
+        let goodness_ns = time_ns(REPS, || {
+            engine
+                .goodness()
+                .all_goodness_into(&goodness_lengths, &mut goodness_buf);
+            black_box(goodness_buf.len());
+        });
+        let ratio = |num: u128, den: u128| num as f64 / den.max(1) as f64;
+        rounds[0].push(ratio(naive_trial_ns, kernel_trial_ns));
+        rounds[1].push(ratio(naive_eval_ns, kernel_eval_ns));
+        rounds[2].push(ratio(goodness_ns, naive_eval_ns));
     }
-
-    if report.get("bitwise_identical_across_configs") != Some(&Json::Bool(true)) {
-        outcome.fail(format!(
-            "bitwise_identical_across_configs: serial and threaded({workers}) \
-             runs disagreed on host_parallelism={host} — determinism before \
-             speed, fix this first"
-        ));
-    }
-
-    let floors = [
-        (
-            "windowed_speedup_threaded4_vs_serial",
-            PR6_WINDOWED_FLOOR,
-            format!("threaded({workers},ev4) windowed iteration"),
-        ),
-        (
-            "exhaustive_speedup_2_chunks_vs_serial",
-            PR6_INTRA_RANK_FLOOR,
-            format!("threaded({workers},ev2) exhaustive intra-rank path"),
-        ),
-        (
-            "exhaustive_speedup_4_chunks_vs_serial",
-            PR6_INTRA_RANK_FLOOR,
-            format!("threaded({workers},ev4) exhaustive intra-rank path"),
-        ),
-    ];
-    for (path, floor, config) in floors {
-        let Some(speedup) = report.number(path) else {
-            outcome.fail(format!(
-                "{path}: missing from the PR6 report (host_parallelism={host}, {config})"
-            ));
-            continue;
-        };
-        if speedup.is_finite() && speedup >= floor {
-            outcome.pass(format!(
-                "{path}: {speedup:.2}x >= {floor:.2}x floor \
-                 (host_parallelism={host}, {config})"
-            ));
-        } else {
-            outcome.fail(format!(
-                "{path}: {speedup:.2}x vs serial is below the {floor:.2}x floor \
-                 (host_parallelism={host}, {config})"
-            ));
-        }
-    }
-    outcome
-}
-
-/// Evaluates the `--pr7` bound-pruned allocation gate on a fresh
-/// `BENCH_PR7.json`.
-///
-/// Both arms of the A/B it gates ran serially in the same process, so the
-/// speedup is machine-relative and the floor applies on **every** host —
-/// deliberately no low-core skip, unlike [`evaluate_pr6_gate`]. Failure
-/// lines still name the host parallelism so a red leg is diagnosable from
-/// the log alone.
-fn evaluate_pr7_gate(report: &Json) -> GateOutcome {
-    let mut outcome = GateOutcome::new();
-    let host = report.number("host_parallelism").unwrap_or(0.0);
-    if report.get("bitwise_identical_across_configs") != Some(&Json::Bool(true)) {
-        outcome.fail(format!(
-            "bitwise_identical_across_configs: the pruned and legacy \
-             exhaustive serial arms disagreed on host_parallelism={host} — \
-             determinism before speed, fix this first"
-        ));
-    }
-    let Some(speedup) = report.number("windowed_serial_speedup_vs_legacy") else {
-        outcome.fail(format!(
-            "windowed_serial_speedup_vs_legacy: missing from the PR7 report \
-             (host_parallelism={host})"
-        ));
-        return outcome;
-    };
-    if speedup.is_finite() && speedup >= PR7_SERIAL_FLOOR {
-        outcome.pass(format!(
-            "windowed_serial_speedup_vs_legacy: {speedup:.2}x >= \
-             {PR7_SERIAL_FLOOR:.2}x floor (host_parallelism={host}, serial \
-             windowed iteration; machine-relative, gated on every core count)"
-        ));
-    } else {
-        outcome.fail(format!(
-            "windowed_serial_speedup_vs_legacy: {speedup:.2}x vs the legacy \
-             exhaustive arm is below the {PR7_SERIAL_FLOOR:.2}x floor \
-             (host_parallelism={host}, serial windowed iteration; \
-             machine-relative, so a low core count is no excuse)"
-        ));
-    }
-    outcome
-}
-
-fn load(path: &str) -> Json {
-    let bytes = std::fs::read(path).unwrap_or_else(|e| {
-        eprintln!("perf_guard: cannot read {path}: {e}");
-        std::process::exit(2);
+    let [trial, full, goodness] = rounds.map(|mut ratios| {
+        ratios.sort_by(f64::total_cmp);
+        ratios[ROUNDS / 2]
     });
-    Json::parse_bytes(&bytes).unwrap_or_else(|e| {
-        eprintln!("perf_guard: cannot parse {path}: {e}");
-        std::process::exit(2);
-    })
+    Measured {
+        group: Group::HeadToHead,
+        values: vec![
+            (TRIAL_SCORING, trial),
+            (FULL_NET_LENGTHS, full),
+            (GOODNESS_PASS, goodness),
+        ],
+        bitwise_identical: None,
+    }
 }
 
-/// Prints an outcome's lines and exits non-zero on failures (or when a
-/// non-skippable gate checked nothing at all).
-fn finish(outcome: GateOutcome, empty_is_failure: bool, epilogue: &str) -> ! {
+/// The extended-tier `s15850` circuit the iteration-level groups run on,
+/// with a paper-default single-iteration config for it.
+fn s15850() -> (Arc<vlsi_netlist::Netlist>, SimEConfig) {
+    let circuit = SuiteCircuit::Extended(ExtendedCircuit::S15850);
+    let config = SimEConfig::paper_defaults(Objectives::WirelengthPower, circuit.num_rows(), 1);
+    (Arc::new(circuit.generate()), config)
+}
+
+/// Best-of-`reps` wall time of `iters` SimE iterations under `ctx`, each rep
+/// replaying the same start (`initial`, RNG seed 7), plus the bits of the
+/// trajectory: every iteration's average goodness and selection size, then
+/// the final µ, wirelength and power.
+fn timed_run(
+    engine: &SimEEngine,
+    initial: &Placement,
+    iters: usize,
+    reps: usize,
+    ctx: &EvalContext<'_>,
+) -> (u128, Vec<u64>) {
+    let mut best_ns = u128::MAX;
+    let mut bits = Vec::new();
+    for _ in 0..reps {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let mut placement = initial.clone();
+        let mut scratch = engine.new_scratch();
+        let mut profile = ProfileReport::new();
+        bits.clear();
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            let (avg, selected, _stats) = black_box(engine.iterate_on(
+                &mut placement,
+                &mut scratch,
+                &mut rng,
+                &mut profile,
+                &[],
+                &[],
+                ctx,
+            ));
+            bits.push(avg.to_bits());
+            bits.push(selected as u64);
+        }
+        best_ns = best_ns.min(t0.elapsed().as_nanos());
+        let cost = engine.cost_with(&placement, &mut scratch);
+        bits.extend([cost.mu, cost.wirelength, cost.power].map(f64::to_bits));
+    }
+    (best_ns, bits)
+}
+
+/// The default (bound-pruned, incremental-goodness) serial windowed
+/// iteration against the legacy exhaustive arm, best of 3 reps of 2
+/// iterations — the second iteration exercises the carried goodness cache.
+fn measure_bound_pruning() -> Measured {
+    const REPS: usize = 3;
+    const ITERS: usize = 2;
+    let (netlist, pruned) = s15850();
+    assert!(
+        pruned.allocation.bound_pruning && pruned.incremental_goodness,
+        "the pruned arm must be the default engine"
+    );
+    let mut legacy = pruned;
+    legacy.allocation.bound_pruning = false;
+    legacy.incremental_goodness = false;
+    let [(pruned_ns, pruned_bits), (legacy_ns, legacy_bits)] = [pruned, legacy].map(|config| {
+        let engine = SimEEngine::new(Arc::clone(&netlist), config);
+        let initial = engine.initial_placement(&mut ChaCha8Rng::seed_from_u64(1));
+        let (ns, bits) = timed_run(&engine, &initial, ITERS, REPS, &EvalContext::serial());
+        (ns / ITERS as u128, bits)
+    });
+    Measured {
+        group: Group::BoundPruning,
+        values: vec![(PRUNED_VS_LEGACY, legacy_ns as f64 / pruned_ns.max(1) as f64)],
+        bitwise_identical: Some(pruned_bits == legacy_bits),
+    }
+}
+
+/// One fused iteration, serial against a persistent 4-worker pool at 2 and
+/// 4 chunks, for the windowed and the exhaustive stride-8 allocation, best
+/// of 2 reps.
+fn measure_persistent_epoch() -> Measured {
+    const POOL_WORKERS: usize = 4;
+    const REPS: usize = 2;
+    let (netlist, windowed) = s15850();
+    let mut exhaustive = windowed;
+    exhaustive.allocation = AllocationConfig {
+        strategy: AllocationStrategy::SortedBestFit,
+        trial_stride: 8,
+        ..Default::default()
+    };
+    let pool = WorkerPool::new(POOL_WORKERS);
+    let mut values = Vec::new();
+    let mut bitwise_identical = true;
+    for (config, gated) in [
+        (windowed, [None, Some(WINDOWED_4_CHUNKS)]),
+        (
+            exhaustive,
+            [Some(EXHAUSTIVE_2_CHUNKS), Some(EXHAUSTIVE_4_CHUNKS)],
+        ),
+    ] {
+        let engine = SimEEngine::new(Arc::clone(&netlist), config);
+        let initial = engine.initial_placement(&mut ChaCha8Rng::seed_from_u64(1));
+        let (serial_ns, serial_bits) =
+            timed_run(&engine, &initial, 1, REPS, &EvalContext::serial());
+        for (chunks, metric) in [2, 4].into_iter().zip(gated) {
+            let ctx = EvalContext::chunked(&pool, chunks);
+            let (ns, bits) = timed_run(&engine, &initial, 1, REPS, &ctx);
+            bitwise_identical &= bits == serial_bits;
+            if let Some(metric) = metric {
+                values.push((metric, serial_ns as f64 / ns.max(1) as f64));
+            }
+        }
+    }
+    Measured {
+        group: Group::PersistentEpoch,
+        values,
+        bitwise_identical: Some(bitwise_identical),
+    }
+}
+
+fn main() {
+    let host = std::thread::available_parallelism().map_or(1, usize::from);
+    println!("perf guard: {} gates, host_parallelism={host}", GATES.len());
+    let mut measured = Vec::new();
+    for group in [
+        Group::HeadToHead,
+        Group::BoundPruning,
+        Group::PersistentEpoch,
+    ] {
+        if host >= group.min_host_parallelism() {
+            measured.push(group.measure());
+        }
+    }
+    let outcome = evaluate(&GATES, &measured, host);
     for line in &outcome.lines {
         if line.trim_start().starts_with("FAIL") {
             eprintln!("{line}");
@@ -302,99 +524,17 @@ fn finish(outcome: GateOutcome, empty_is_failure: bool, epilogue: &str) -> ! {
             println!("{line}");
         }
     }
-    if outcome.checked == 0 && outcome.failures == 0 && empty_is_failure {
-        eprintln!("perf_guard: no guarded metric was checked — the gate compared nothing");
-        std::process::exit(1);
-    }
     if outcome.failures > 0 {
         eprintln!(
-            "perf_guard: {} metric(s) failed; {epilogue}",
+            "perf_guard: {} gate(s) failed; bounds are pinned in GATES — \
+             investigate the regression before re-running",
             outcome.failures
         );
         std::process::exit(1);
     }
     println!(
-        "perf guard passed: {} metric(s) within bounds",
+        "perf guard passed: {} gate(s) within bounds",
         outcome.checked
-    );
-    std::process::exit(0);
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!(
-            "perf_guard [--baseline BENCH_BASELINE.json] [--fresh BENCH_PR2.json] [--tolerance 0.25]\n\
-             perf_guard --pr6 [--fresh BENCH_PR6.json]\n\
-             perf_guard --pr7 [--fresh BENCH_PR7.json]"
-        );
-        return;
-    }
-    let arg = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-
-    if args.iter().any(|a| a == "--pr7") {
-        let fresh_path = arg("--fresh").unwrap_or_else(|| "BENCH_PR7.json".into());
-        let fresh = load(&fresh_path);
-        println!(
-            "perf guard (pr7): {fresh_path} vs the bound-pruned allocation floor \
-             (serial windowed >= {PR7_SERIAL_FLOOR}x over the legacy exhaustive arm; \
-             machine-relative, no low-core skip)"
-        );
-        // The A/B is in-process and serial on both sides, so the gate must
-        // always check something — an empty outcome is a failure.
-        finish(
-            evaluate_pr7_gate(&fresh),
-            true,
-            "the floor is machine-relative; investigate the pruned scan before re-running",
-        );
-    }
-
-    if args.iter().any(|a| a == "--pr6") {
-        let fresh_path = arg("--fresh").unwrap_or_else(|| "BENCH_PR6.json".into());
-        let fresh = load(&fresh_path);
-        println!(
-            "perf guard (pr6): {fresh_path} vs the persistent-epoch floors \
-             (windowed >= {PR6_WINDOWED_FLOOR}x, exhaustive >= {PR6_INTRA_RANK_FLOOR}x)"
-        );
-        // A sub-4-core host legitimately checks nothing (skip-with-notice).
-        finish(
-            evaluate_pr6_gate(&fresh),
-            false,
-            "the floors are absolute; investigate the scheduler before re-running",
-        );
-    }
-
-    let baseline_path = arg("--baseline").unwrap_or_else(|| "BENCH_BASELINE.json".into());
-    let fresh_path = arg("--fresh").unwrap_or_else(|| "BENCH_PR2.json".into());
-    let tolerance: f64 = match arg("--tolerance") {
-        None => 0.25,
-        Some(v) => match v.parse::<f64>() {
-            Ok(t) if t > 0.0 && t < 1.0 => t,
-            _ => {
-                eprintln!("perf_guard: --tolerance must be a fraction in (0, 1), got `{v}`");
-                std::process::exit(2);
-            }
-        },
-    };
-
-    let baseline = load(&baseline_path);
-    let fresh = load(&fresh_path);
-    println!(
-        "perf guard: {fresh_path} vs {baseline_path} (relative tolerance {:.0} %)",
-        tolerance * 100.0
-    );
-    let epilogue = format!(
-        "regressed beyond {:.0} %; if intentional, re-pin BENCH_BASELINE.json (see --help)",
-        tolerance * 100.0
-    );
-    finish(
-        evaluate_baseline_gate(&baseline, &fresh, tolerance),
-        true,
-        &epilogue,
     );
 }
 
@@ -402,24 +542,54 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn pr6_report(host: f64, windowed: f64, ev2: f64, ev4: f64) -> Json {
-        Json::parse(&format!(
-            r#"{{
-                "report": "BENCH_PR6",
-                "pool_workers": 4,
-                "host_parallelism": {host},
-                "bitwise_identical_across_configs": true,
-                "windowed_speedup_threaded4_vs_serial": {windowed},
-                "exhaustive_speedup_2_chunks_vs_serial": {ev2},
-                "exhaustive_speedup_4_chunks_vs_serial": {ev4}
-            }}"#
-        ))
-        .unwrap()
+    fn gates(group: Group) -> Vec<Gate> {
+        GATES.into_iter().filter(|g| g.group == group).collect()
+    }
+
+    fn epoch(windowed: f64, ev2: f64, ev4: f64) -> Measured {
+        Measured {
+            group: Group::PersistentEpoch,
+            values: vec![
+                (WINDOWED_4_CHUNKS, windowed),
+                (EXHAUSTIVE_2_CHUNKS, ev2),
+                (EXHAUSTIVE_4_CHUNKS, ev4),
+            ],
+            bitwise_identical: Some(true),
+        }
+    }
+
+    fn pruning(speedup: f64) -> Measured {
+        Measured {
+            group: Group::BoundPruning,
+            values: vec![(PRUNED_VS_LEGACY, speedup)],
+            bitwise_identical: Some(true),
+        }
+    }
+
+    #[test]
+    fn gate_table_is_pinned() {
+        let bounds: Vec<(&str, Bound)> = GATES.iter().map(|g| (g.metric, g.bound)).collect();
+        assert_eq!(
+            bounds,
+            [
+                (TRIAL_SCORING, Bound::AtLeastBaseline(5.13)),
+                (FULL_NET_LENGTHS, Bound::AtLeastBaseline(1.79)),
+                (GOODNESS_PASS, Bound::AtMostBaseline(0.200)),
+                (PRUNED_VS_LEGACY, Bound::Floor(1.3)),
+                (WINDOWED_4_CHUNKS, Bound::Floor(2.0)),
+                (EXHAUSTIVE_2_CHUNKS, Bound::Floor(1.0)),
+                (EXHAUSTIVE_4_CHUNKS, Bound::Floor(1.0)),
+            ]
+        );
+        assert_eq!(BASELINE_TOLERANCE, 0.25);
+        assert_eq!(Group::HeadToHead.min_host_parallelism(), 1);
+        assert_eq!(Group::BoundPruning.min_host_parallelism(), 1);
+        assert_eq!(Group::PersistentEpoch.min_host_parallelism(), 4);
     }
 
     #[test]
     fn pr6_gate_passes_on_a_fast_multicore_report() {
-        let outcome = evaluate_pr6_gate(&pr6_report(8.0, 2.4, 1.3, 1.9));
+        let outcome = evaluate(&gates(Group::PersistentEpoch), &[epoch(2.4, 1.3, 1.9)], 8);
         assert_eq!(outcome.failures, 0);
         assert_eq!(outcome.checked, 3);
         assert!(outcome.lines.iter().all(|l| l.contains("PASS")));
@@ -427,9 +597,11 @@ mod tests {
 
     #[test]
     fn pr6_gate_skips_with_notice_below_four_cores() {
-        let outcome = evaluate_pr6_gate(&pr6_report(1.0, 0.98, 0.97, 0.95));
+        // Below four cores the group is skipped even without a measurement.
+        let outcome = evaluate(&gates(Group::PersistentEpoch), &[], 1);
         assert_eq!(outcome.failures, 0, "a 1-core host must not fail the gate");
         assert_eq!(outcome.checked, 0);
+        assert_eq!(outcome.lines.len(), 1);
         let notice = &outcome.lines[0];
         assert!(notice.contains("SKIP"), "{notice}");
         assert!(
@@ -444,13 +616,13 @@ mod tests {
 
     #[test]
     fn pr6_failure_messages_name_host_config_and_ratio_pair() {
-        let outcome = evaluate_pr6_gate(&pr6_report(8.0, 1.37, 1.3, 0.84));
+        let outcome = evaluate(&gates(Group::PersistentEpoch), &[epoch(1.37, 1.3, 0.84)], 8);
         assert_eq!(outcome.failures, 2);
         assert_eq!(outcome.checked, 1);
         let windowed = outcome
             .lines
             .iter()
-            .find(|l| l.contains("windowed_speedup_threaded4_vs_serial"))
+            .find(|l| l.contains(WINDOWED_4_CHUNKS))
             .unwrap();
         assert!(windowed.contains("FAIL"), "{windowed}");
         assert!(
@@ -468,7 +640,7 @@ mod tests {
         let ev4 = outcome
             .lines
             .iter()
-            .find(|l| l.contains("exhaustive_speedup_4_chunks_vs_serial"))
+            .find(|l| l.contains(EXHAUSTIVE_4_CHUNKS))
             .unwrap();
         assert!(
             ev4.contains("FAIL") && ev4.contains("0.84x") && ev4.contains("1.00x"),
@@ -478,11 +650,9 @@ mod tests {
 
     #[test]
     fn pr6_gate_fails_on_a_bitwise_mismatch() {
-        let mut report = pr6_report(8.0, 2.4, 1.3, 1.9);
-        if let Json::Object(ref mut map) = report {
-            map.insert("bitwise_identical_across_configs".into(), Json::Bool(false));
-        }
-        let outcome = evaluate_pr6_gate(&report);
+        let mut measured = epoch(2.4, 1.3, 1.9);
+        measured.bitwise_identical = Some(false);
+        let outcome = evaluate(&gates(Group::PersistentEpoch), &[measured], 8);
         assert!(outcome.failures >= 1);
         let line = outcome
             .lines
@@ -495,21 +665,9 @@ mod tests {
         );
     }
 
-    fn pr7_report(host: f64, speedup: f64) -> Json {
-        Json::parse(&format!(
-            r#"{{
-                "report": "BENCH_PR7",
-                "host_parallelism": {host},
-                "bitwise_identical_across_configs": true,
-                "windowed_serial_speedup_vs_legacy": {speedup}
-            }}"#
-        ))
-        .unwrap()
-    }
-
     #[test]
     fn pr7_gate_passes_on_a_fast_report() {
-        let outcome = evaluate_pr7_gate(&pr7_report(8.0, 1.65));
+        let outcome = evaluate(&gates(Group::BoundPruning), &[pruning(1.65)], 8);
         assert_eq!(outcome.failures, 0);
         assert_eq!(outcome.checked, 1);
         assert!(outcome.lines.iter().all(|l| l.contains("PASS")));
@@ -519,10 +677,10 @@ mod tests {
     fn pr7_gate_has_no_low_core_skip() {
         // Machine-relative A/B: a single-core host is gated like any other —
         // passing when above the floor, failing when below, never skipping.
-        let fast = evaluate_pr7_gate(&pr7_report(1.0, 1.62));
+        let fast = evaluate(&gates(Group::BoundPruning), &[pruning(1.62)], 1);
         assert_eq!(fast.failures, 0, "a 1-core host above the floor passes");
         assert_eq!(fast.checked, 1, "a 1-core host must still be checked");
-        let slow = evaluate_pr7_gate(&pr7_report(1.0, 1.04));
+        let slow = evaluate(&gates(Group::BoundPruning), &[pruning(1.04)], 1);
         assert_eq!(slow.failures, 1, "a 1-core host below the floor fails");
         assert!(
             !slow.lines.iter().any(|l| l.contains("SKIP")),
@@ -533,11 +691,11 @@ mod tests {
 
     #[test]
     fn pr7_failure_messages_name_host_floor_and_ratio() {
-        let outcome = evaluate_pr7_gate(&pr7_report(2.0, 1.12));
+        let outcome = evaluate(&gates(Group::BoundPruning), &[pruning(1.12)], 2);
         assert_eq!(outcome.failures, 1);
         let fail = outcome.lines.iter().find(|l| l.contains("FAIL")).unwrap();
         assert!(
-            fail.contains("windowed_serial_speedup_vs_legacy")
+            fail.contains(PRUNED_VS_LEGACY)
                 && fail.contains("host_parallelism=2")
                 && fail.contains("1.12x")
                 && fail.contains("1.30x"),
@@ -547,11 +705,9 @@ mod tests {
 
     #[test]
     fn pr7_gate_fails_on_a_bitwise_mismatch() {
-        let mut report = pr7_report(8.0, 1.65);
-        if let Json::Object(ref mut map) = report {
-            map.insert("bitwise_identical_across_configs".into(), Json::Bool(false));
-        }
-        let outcome = evaluate_pr7_gate(&report);
+        let mut measured = pruning(1.65);
+        measured.bitwise_identical = Some(false);
+        let outcome = evaluate(&gates(Group::BoundPruning), &[measured], 8);
         assert_eq!(outcome.failures, 1);
         let line = outcome
             .lines
@@ -566,35 +722,42 @@ mod tests {
 
     #[test]
     fn pr7_gate_fails_on_a_missing_headline() {
-        let report = Json::parse(
-            r#"{"report": "BENCH_PR7", "host_parallelism": 4,
-                "bitwise_identical_across_configs": true}"#,
-        )
-        .unwrap();
-        let outcome = evaluate_pr7_gate(&report);
-        assert_eq!(outcome.failures, 1, "a shrunken report must not pass");
+        let mut measured = pruning(1.65);
+        measured.values.clear();
+        let outcome = evaluate(&gates(Group::BoundPruning), &[measured], 4);
+        assert_eq!(outcome.failures, 1, "a shrunken measurement must not pass");
         assert!(outcome.lines[0].contains("missing"), "{:?}", outcome.lines);
+        // An unmeasured group fails the same way.
+        let outcome = evaluate(&gates(Group::BoundPruning), &[], 4);
+        assert_eq!(outcome.failures, 1);
     }
 
     #[test]
     fn baseline_gate_messages_show_bound_and_baseline() {
-        let baseline = Json::parse(
-            r#"{"head_to_head": {
-                "trial_scoring_48slots": {"speedup": 6.0},
-                "full_net_lengths": {"speedup": 2.0},
-                "goodness_pass": {"ratio_vs_naive_eval": 0.5}
-            }}"#,
-        )
-        .unwrap();
-        let fresh = Json::parse(
-            r#"{"head_to_head": {
-                "trial_scoring_48slots": {"speedup": 4.0},
-                "full_net_lengths": {"speedup": 1.9},
-                "goodness_pass": {"ratio_vs_naive_eval": 0.52}
-            }}"#,
-        )
-        .unwrap();
-        let outcome = evaluate_baseline_gate(&baseline, &fresh, 0.25);
+        let table = [
+            Gate {
+                bound: Bound::AtLeastBaseline(6.0),
+                ..GATES[0]
+            },
+            Gate {
+                bound: Bound::AtLeastBaseline(2.0),
+                ..GATES[1]
+            },
+            Gate {
+                bound: Bound::AtMostBaseline(0.5),
+                ..GATES[2]
+            },
+        ];
+        let measured = Measured {
+            group: Group::HeadToHead,
+            values: vec![
+                (TRIAL_SCORING, 4.0),
+                (FULL_NET_LENGTHS, 1.9),
+                (GOODNESS_PASS, 0.52),
+            ],
+            bitwise_identical: None,
+        };
+        let outcome = evaluate(&table, &[measured], 2);
         assert_eq!(outcome.failures, 1, "only trial scoring fell past 25 %");
         assert_eq!(outcome.checked, 2);
         let fail = outcome.lines.iter().find(|l| l.contains("FAIL")).unwrap();
@@ -604,22 +767,6 @@ mod tests {
                 && fail.contains("4.500")
                 && fail.contains("baseline 6.000"),
             "failure must show current, bound and baseline: {fail}"
-        );
-    }
-
-    #[test]
-    fn baseline_gate_skips_unpinned_metrics_and_fails_missing_fresh_ones() {
-        let baseline =
-            Json::parse(r#"{"head_to_head": {"trial_scoring_48slots": {"speedup": 6.0}}}"#)
-                .unwrap();
-        let fresh = Json::parse(r#"{"head_to_head": {}}"#).unwrap();
-        let outcome = evaluate_baseline_gate(&baseline, &fresh, 0.25);
-        assert_eq!(outcome.failures, 1, "pinned metric missing from fresh");
-        assert_eq!(outcome.checked, 0);
-        assert_eq!(
-            outcome.lines.iter().filter(|l| l.contains("SKIP")).count(),
-            2,
-            "unpinned metrics skip with a notice"
         );
     }
 }

@@ -1,13 +1,15 @@
-//! Minimal JSON reader for the perf-guardrail tooling.
+//! Minimal JSON reader and renderer for the workspace's line and report
+//! formats.
 //!
 //! The workspace's vendored `serde` is a no-op shim (the container has no
-//! crates.io access), and the bench reports are hand-rolled JSON writers, so
-//! this module provides the matching reader: a small recursive-descent parser
-//! into a [`Json`] value tree plus dotted-path accessors
-//! ([`Json::get`], [`Json::number`]). It covers the full JSON grammar the
-//! reports use — objects, arrays, strings with the common escapes, numbers,
-//! booleans, null — which is all `perf_guard` needs to compare a fresh
-//! `BENCH_PR2.json` against the checked-in `BENCH_BASELINE.json`.
+//! crates.io access), so this module provides a small recursive-descent
+//! parser into a [`Json`] value tree plus dotted-path accessors
+//! ([`Json::get`], [`Json::number`]), and a renderer through `Display`. It
+//! covers the full JSON grammar the workspace reads and writes — objects,
+//! arrays, strings with the common escapes, numbers, booleans, null — which
+//! is what `report_tables` needs to read a `SCENARIO_MATRIX.json`, what the
+//! `sime-server` line protocol needs for requests and events, and what the
+//! `load_generator` example needs for its report.
 
 use std::collections::BTreeMap;
 use std::fmt;

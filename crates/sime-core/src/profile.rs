@@ -146,7 +146,8 @@ impl ProfileReport {
     }
 
     /// Formats the report as the percentage table printed by the
-    /// `profile_breakdown` harness binary.
+    /// `profile_breakdown` binary, the quickstart example and the
+    /// benchmark's traced run.
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         out.push_str("phase                 time%    work%\n");

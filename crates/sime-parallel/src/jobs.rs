@@ -21,7 +21,7 @@
 //!   the calibrated evaluator of any cached sibling via
 //!   [`SimEEngine::from_evaluator`] and pays none of it.
 //! * **Typed errors.** [`JobRunner::run_job`] validates the spec (unknown
-//!   circuit, rank count below the strategy minimum, zero iterations) and
+//!   circuit, rank count outside the strategy's range, zero iterations) and
 //!   returns a [`JobError`] a protocol layer can forward, where
 //!   [`crate::batch::BatchDriver::run_cell`] panics.
 //!
@@ -116,6 +116,17 @@ pub enum JobError {
         /// The rank count the spec asked for.
         got: usize,
     },
+    /// The rank count exceeds what the strategy can split the circuit into:
+    /// a Type II run gives every rank at least one row (carries the strategy
+    /// label, the maximum and the offending value).
+    TooManyRanks {
+        /// Strategy label (`"type2_random"`, ...).
+        strategy: String,
+        /// The largest rank count the strategy accepts on this circuit.
+        max: usize,
+        /// The rank count the spec asked for.
+        got: usize,
+    },
     /// The spec asks for zero iterations — nothing to run, no trajectory to
     /// fingerprint.
     NoIterations,
@@ -146,6 +157,12 @@ impl fmt::Display for JobError {
             JobError::TooFewRanks { strategy, min, got } => {
                 write!(f, "{strategy} needs at least {min} ranks, spec has {got}")
             }
+            JobError::TooManyRanks { strategy, max, got } => {
+                write!(
+                    f,
+                    "{strategy} accepts at most {max} ranks on this circuit, spec has {got}"
+                )
+            }
             JobError::NoIterations => write!(f, "iterations must be at least 1"),
             JobError::BadBookshelf(msg) => write!(f, "bookshelf parse failed: {msg}"),
             JobError::UnknownWarmStart(tag) => write!(f, "unknown warm-start placement `{tag}`"),
@@ -167,6 +184,7 @@ impl JobError {
         match self {
             JobError::UnknownCircuit(_) => "unknown_circuit",
             JobError::TooFewRanks { .. } => "too_few_ranks",
+            JobError::TooManyRanks { .. } => "too_many_ranks",
             JobError::NoIterations => "no_iterations",
             JobError::BadBookshelf(_) => "bad_bookshelf",
             JobError::UnknownWarmStart(_) => "unknown_warm_start",
@@ -455,6 +473,18 @@ impl JobRunner {
                 got: spec.ranks,
             });
         }
+        if let (StrategyKind::Type2(_), Some(circuit)) =
+            (spec.strategy, SuiteCircuit::from_name(&spec.circuit))
+        {
+            let max = circuit.num_rows();
+            if spec.ranks > max {
+                return Err(JobError::TooManyRanks {
+                    strategy: spec.strategy.label().to_string(),
+                    max,
+                    got: spec.ranks,
+                });
+            }
+        }
         Ok(())
     }
 
@@ -671,6 +701,22 @@ mod tests {
                 got: 2
             }
         );
+
+        // s1196 has 10 rows: a Type II run cannot give 16 ranks a row each.
+        let mut many = small_spec();
+        many.ranks = 16;
+        let err = runner.run_scenario(&many).unwrap_err();
+        assert_eq!(
+            err,
+            JobError::TooManyRanks {
+                strategy: "type2_random".into(),
+                max: 10,
+                got: 16
+            }
+        );
+        assert_eq!(err.code(), "too_many_ranks");
+        many.ranks = 10;
+        assert!(JobRunner::validate(&many).is_ok(), "one row per rank fits");
 
         let mut empty = small_spec();
         empty.iterations = 0;

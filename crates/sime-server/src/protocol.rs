@@ -60,6 +60,7 @@ use std::fmt;
 /// | `queue_full` | admission control rejected the job (queue at capacity) |
 /// | `server_shutdown` | the server is draining and accepts no new jobs |
 /// | `unknown_circuit`, `too_few_ranks`, `no_iterations`, `bad_bookshelf` | passed through from [`sime_parallel::JobError::code`] |
+/// | `too_many_ranks` | passed through: the rank count exceeds what the strategy can split the circuit into (a Type II rank needs at least one row) |
 /// | `unknown_warm_start`, `bad_placement`, `fixed_cells_unsupported` | likewise passed through: the submit's `warm_start` tag is unregistered, its `.pl` is invalid for the circuit, or the strategy cannot host fixed cells |
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtocolError {

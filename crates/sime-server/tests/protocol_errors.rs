@@ -102,6 +102,34 @@ fn malformed_and_invalid_requests_return_typed_errors_and_leave_the_pool_usable(
 }
 
 #[test]
+fn type2_specs_with_more_ranks_than_rows_are_rejected_without_leaking_slots() {
+    // s1196 has 10 rows, so a 16-rank Type II spec must be rejected at
+    // admission: admitted, it would panic its job thread and leak its slot,
+    // and two of them would fill the default `max_active = 2` and leave
+    // every later job queued forever.
+    let server = Server::new(ServerConfig::default());
+    let session = Session::new(Arc::clone(&server));
+    for id in ["too-many-1", "too-many-2"] {
+        let mut bad = spec(2);
+        bad.scenario.ranks = 16;
+        submit(&session, id, bad);
+        expect_error(&session, "too_many_ranks");
+    }
+
+    submit(&session, "valid", spec(2));
+    let events = session
+        .wait_for_terminal("valid", TIMEOUT)
+        .expect("the valid job is admitted and finishes");
+    assert!(
+        matches!(events.last(), Some(Event::Done { .. })),
+        "{events:?}"
+    );
+    let stats = server.stats();
+    assert_eq!((stats.active, stats.queued), (0, 0), "{stats:?}");
+    assert_drained_clean(&server);
+}
+
+#[test]
 fn warm_start_registration_and_errors_flow_through_the_wire() {
     let server = Server::new(ServerConfig::default());
     let session = Session::new(Arc::clone(&server));
