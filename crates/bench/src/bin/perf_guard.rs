@@ -6,7 +6,7 @@
 //! cargo run --release -p bench --bin perf_guard
 //! ```
 //!
-//! Three groups of gates, each measured only when its bounds apply to the
+//! Four groups of gates, each measured only when its bounds apply to the
 //! host (the metric names continue the checked-in `BENCH_*.json` snapshots):
 //!
 //! * **head-to-head** (`BENCH_PR2.json`, pinned in `BENCH_BASELINE.json`) —
@@ -30,13 +30,19 @@
 //!   at 2 and 4 chunks, bitwise identical across chunk counts. The floors
 //!   are statements about parallel hardware, so on a host with fewer than 4
 //!   cores the group is skipped with a notice and not measured.
+//! * **row-edit** — the per-edit cost of a fixed, seeded `move_cell` mix
+//!   inside a row of 4,096 cells against the same mix inside a row of 256
+//!   cells, median of five rounds, both placements in this process. Blocked
+//!   row packing keeps an edit's cost nearly independent of the row length;
+//!   an eager suffix re-pack makes the ratio grow with it (~16×). The ratio
+//!   must stay at or below its ceiling on every core count.
 //!
 //! Exits 1 when any gate fails. Every bound lives in [`GATES`]; re-pinning
 //! one means editing the table in a reviewed change, and
 //! `tests::gate_table_is_pinned` turns every such edit into a test diff.
 
 use cluster_sim::comm::WorkerPool;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sime_core::allocation::{AllocationConfig, AllocationStrategy};
 use sime_core::engine::{SimEConfig, SimEEngine};
@@ -56,6 +62,7 @@ enum Group {
     HeadToHead,
     BoundPruning,
     PersistentEpoch,
+    RowEdit,
 }
 
 impl Group {
@@ -64,6 +71,7 @@ impl Group {
             Group::HeadToHead => "head-to-head",
             Group::BoundPruning => "bound-pruning",
             Group::PersistentEpoch => "persistent-epoch",
+            Group::RowEdit => "row-edit",
         }
     }
 
@@ -72,7 +80,7 @@ impl Group {
     fn min_host_parallelism(self) -> usize {
         match self {
             Group::PersistentEpoch => 4,
-            Group::HeadToHead | Group::BoundPruning => 1,
+            Group::HeadToHead | Group::BoundPruning | Group::RowEdit => 1,
         }
     }
 
@@ -81,6 +89,7 @@ impl Group {
             Group::HeadToHead => measure_head_to_head(),
             Group::BoundPruning => measure_bound_pruning(),
             Group::PersistentEpoch => measure_persistent_epoch(),
+            Group::RowEdit => measure_row_edit(),
         }
     }
 }
@@ -94,6 +103,8 @@ enum Bound {
     AtMostBaseline(f64),
     /// A speedup of at least this factor.
     Floor(f64),
+    /// A cost ratio of at most this factor.
+    Ceiling(f64),
 }
 
 /// Relative tolerance of a baseline bound.
@@ -117,9 +128,15 @@ const PRUNED_VS_LEGACY: &str = "windowed_serial_speedup_vs_legacy";
 const WINDOWED_4_CHUNKS: &str = "windowed_speedup_threaded4_vs_serial";
 const EXHAUSTIVE_2_CHUNKS: &str = "exhaustive_speedup_2_chunks_vs_serial";
 const EXHAUSTIVE_4_CHUNKS: &str = "exhaustive_speedup_4_chunks_vs_serial";
+const ROW_EDIT_SCALING: &str = "row_edit.per_edit_ratio_4096_vs_256";
+
+/// Ceiling of the row-edit scaling ratio: twice the highest ratio blocked
+/// row packing measured on a 2-core host (1.9–2.5×); an eager suffix
+/// re-pack measures 16–22× there (see `measure_row_edit`).
+const ROW_EDIT_CEILING: f64 = 5.0;
 
 /// Every gate, in the order it is checked and printed.
-const GATES: [Gate; 7] = [
+const GATES: [Gate; 8] = [
     Gate {
         group: Group::HeadToHead,
         metric: TRIAL_SCORING,
@@ -161,6 +178,12 @@ const GATES: [Gate; 7] = [
         metric: EXHAUSTIVE_4_CHUNKS,
         config: "threaded(4,ev4) exhaustive intra-rank path",
         bound: Bound::Floor(1.0),
+    },
+    Gate {
+        group: Group::RowEdit,
+        metric: ROW_EDIT_SCALING,
+        config: "seeded move_cell mix, 4,096- vs 256-cell row; gated on every core count",
+        bound: Bound::Ceiling(ROW_EDIT_CEILING),
     },
 ];
 
@@ -261,6 +284,11 @@ fn evaluate(gates: &[Gate], measured: &[Measured], host: usize) -> GateOutcome {
                     value >= floor,
                     format!("{value:.2}x"),
                     format!("the {floor:.2}x floor"),
+                ),
+                Bound::Ceiling(ceiling) => (
+                    value <= ceiling,
+                    format!("{value:.2}x"),
+                    format!("the {ceiling:.2}x ceiling"),
                 ),
             };
             let line =
@@ -503,6 +531,56 @@ fn measure_persistent_epoch() -> Measured {
     }
 }
 
+/// Per-edit cost of a seeded `move_cell` mix inside a 4,096-cell row over
+/// the same mix inside a 256-cell row, median of five rounds. Both
+/// placements hold the same 8,192-cell circuit; every move takes a random
+/// cell of the hot row and re-inserts it at a random slot of the same row,
+/// so the row keeps its length.
+fn measure_row_edit() -> Measured {
+    const CELLS: usize = 8192;
+    const SHORT: usize = 256;
+    const LONG: usize = 4096;
+    const EDITS: usize = 20_000;
+    const ROUNDS: usize = 5;
+    let netlist = vlsi_netlist::generator::CircuitGenerator::new(
+        vlsi_netlist::generator::GeneratorConfig::sized("row_edit", CELLS, 1),
+    )
+    .generate();
+    let cells: Vec<_> = netlist.cell_ids().collect();
+    // The hot row 0 takes the first `hot` cells, the rest fill 256-cell rows.
+    let layout = |hot: usize| {
+        let rows = std::iter::once(cells[..hot].to_vec())
+            .chain(cells[hot..].chunks(SHORT).map(<[_]>::to_vec))
+            .collect();
+        Placement::from_rows(&netlist, rows)
+    };
+    let mut placements = [layout(SHORT), layout(LONG)];
+    let mut rounds = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
+        let [short_ns, long_ns] = placements.each_mut().map(|p| {
+            let mut rng = ChaCha8Rng::seed_from_u64(round as u64);
+            let len = p.row(0).len();
+            let moves: Vec<(usize, usize)> = (0..EDITS)
+                .map(|_| (rng.gen_range(0..len), rng.gen_range(0..len)))
+                .collect();
+            time_ns(1, || {
+                for &(from, to) in &moves {
+                    let cell = p.row(0)[from];
+                    p.move_cell(cell, Slot { row: 0, index: to });
+                }
+                black_box(p.row_extent(0));
+            })
+        });
+        rounds.push(long_ns as f64 / short_ns.max(1) as f64);
+    }
+    rounds.sort_by(f64::total_cmp);
+    Measured {
+        group: Group::RowEdit,
+        values: vec![(ROW_EDIT_SCALING, rounds[ROUNDS / 2])],
+        bitwise_identical: None,
+    }
+}
+
 fn main() {
     let host = std::thread::available_parallelism().map_or(1, usize::from);
     println!("perf guard: {} gates, host_parallelism={host}", GATES.len());
@@ -511,6 +589,7 @@ fn main() {
         Group::HeadToHead,
         Group::BoundPruning,
         Group::PersistentEpoch,
+        Group::RowEdit,
     ] {
         if host >= group.min_host_parallelism() {
             measured.push(group.measure());
@@ -579,12 +658,40 @@ mod tests {
                 (WINDOWED_4_CHUNKS, Bound::Floor(2.0)),
                 (EXHAUSTIVE_2_CHUNKS, Bound::Floor(1.0)),
                 (EXHAUSTIVE_4_CHUNKS, Bound::Floor(1.0)),
+                (ROW_EDIT_SCALING, Bound::Ceiling(ROW_EDIT_CEILING)),
             ]
         );
+        assert_eq!(ROW_EDIT_CEILING, 5.0);
         assert_eq!(BASELINE_TOLERANCE, 0.25);
         assert_eq!(Group::HeadToHead.min_host_parallelism(), 1);
         assert_eq!(Group::BoundPruning.min_host_parallelism(), 1);
         assert_eq!(Group::PersistentEpoch.min_host_parallelism(), 4);
+        assert_eq!(Group::RowEdit.min_host_parallelism(), 1);
+    }
+
+    fn row_edit(ratio: f64) -> Measured {
+        Measured {
+            group: Group::RowEdit,
+            values: vec![(ROW_EDIT_SCALING, ratio)],
+            bitwise_identical: None,
+        }
+    }
+
+    #[test]
+    fn row_edit_gate_fails_when_edits_pay_for_the_row_length() {
+        let ok = evaluate(&gates(Group::RowEdit), &[row_edit(1.6)], 1);
+        assert_eq!((ok.failures, ok.checked), (0, 1), "{:?}", ok.lines);
+        // An eager suffix re-pack: cost proportional to the row length.
+        let eager = evaluate(&gates(Group::RowEdit), &[row_edit(15.8)], 2);
+        assert_eq!(eager.failures, 1);
+        let fail = &eager.lines[0];
+        assert!(
+            fail.contains("FAIL")
+                && fail.contains(ROW_EDIT_SCALING)
+                && fail.contains("15.80x")
+                && fail.contains("5.00x ceiling"),
+            "{fail}"
+        );
     }
 
     #[test]

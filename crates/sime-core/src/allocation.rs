@@ -268,17 +268,8 @@ pub fn allocate_cell_on<R: Rng + ?Sized>(
     rng: &mut R,
     ctx: &EvalContext<'_>,
 ) -> AllocationStats {
-    allocate_cell_inner(
-        evaluator,
-        scratch,
-        placement,
-        cell,
-        config,
-        allowed_rows,
-        rng,
-        ctx,
-        None,
-    )
+    scratch.fill_rows(placement, allowed_rows);
+    allocate_cell_inner(evaluator, scratch, placement, cell, config, rng, ctx, None)
 }
 
 /// The shared body of [`allocate_cell_on`] and the wave path of
@@ -287,6 +278,9 @@ pub fn allocate_cell_on<R: Rng + ?Sized>(
 /// placement state this call observes — the caller is responsible for
 /// staleness) and trial slots are scored through the snapshot instead of
 /// re-running `prepare_cell`; the scores are bitwise identical either way.
+/// The target rows come from `scratch.rows`, which the caller fills (once
+/// per pass in [`allocate_all_on`]: the allowed rows are the same for every
+/// cell of the pass).
 #[allow(clippy::too_many_arguments)]
 fn allocate_cell_inner<R: Rng + ?Sized>(
     evaluator: &CostEvaluator,
@@ -294,15 +288,12 @@ fn allocate_cell_inner<R: Rng + ?Sized>(
     placement: &mut Placement,
     cell: CellId,
     config: &AllocationConfig,
-    allowed_rows: &[usize],
     rng: &mut R,
     ctx: &EvalContext<'_>,
     snapshot: Option<&PreparedCell>,
 ) -> AllocationStats {
     let nets_of_cell = evaluator.netlist().nets_of_cell(cell).len();
     let stride = config.trial_stride.max(1);
-
-    scratch.fill_rows(placement, allowed_rows);
 
     // One pass over the cell's pins up front; every candidate slot below is
     // then scored from the per-net summaries in O(distinct rows). A wave
@@ -829,6 +820,7 @@ pub fn allocate_all_on<R: Rng + ?Sized>(
     for &cell in selected.iter() {
         placement.remove_cell(cell);
     }
+    scratch.fill_rows(placement, allowed_rows);
     let mut stats = AllocationStats::default();
     let wave = match ctx.fan_out() {
         // Waves only pay off where the per-cell trial loop stays serial; the
@@ -888,7 +880,6 @@ pub fn allocate_all_on<R: Rng + ?Sized>(
                     placement,
                     cell,
                     config,
-                    allowed_rows,
                     rng,
                     ctx,
                     fresh.then_some(&prepared[i]),
@@ -903,16 +894,8 @@ pub fn allocate_all_on<R: Rng + ?Sized>(
         scratch.row_step = row_step;
     } else {
         for &cell in selected.iter() {
-            let s = allocate_cell_on(
-                evaluator,
-                scratch,
-                placement,
-                cell,
-                config,
-                allowed_rows,
-                rng,
-                ctx,
-            );
+            let s =
+                allocate_cell_inner(evaluator, scratch, placement, cell, config, rng, ctx, None);
             stats.merge(&s);
         }
     }

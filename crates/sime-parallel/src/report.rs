@@ -120,25 +120,37 @@ pub fn run_serial_baseline(engine: &SimEEngine, compute: &ComputeModel) -> Seria
     }
 }
 
-/// Per-rank evaluation workload for a cell partition: every rank estimates
-/// the length of each net incident to one of its cells (duplicating nets that
-/// span partitions — the effect the paper identifies as the main weakness of
-/// Type I partitioning) plus per-cell bookkeeping.
-pub fn partition_evaluation_workload(
+/// Per-rank evaluation workloads for cell partitions, in partition order:
+/// every rank estimates the length of each net incident to one of its cells
+/// (duplicating nets that span partitions — the effect the paper identifies
+/// as the main weakness of Type I partitioning) plus per-cell bookkeeping.
+/// One per-net stamp array (stamped with the partition index) counts each
+/// partition's distinct nets in `O(pins)`.
+pub fn partition_evaluation_workloads<'a>(
     engine: &SimEEngine,
-    cells: &[vlsi_netlist::CellId],
-) -> Workload {
+    partitions: impl IntoIterator<Item = &'a [vlsi_netlist::CellId]>,
+) -> Vec<Workload> {
     let netlist = engine.evaluator().netlist();
-    let mut distinct_nets: Vec<vlsi_netlist::NetId> = cells
-        .iter()
-        .flat_map(|&c| netlist.nets_of_cell(c).iter().copied())
-        .collect();
-    distinct_nets.sort_unstable();
-    distinct_nets.dedup();
-    Workload {
-        net_evaluations: distinct_nets.len() as u64,
-        misc_operations: cells.len() as u64 * 4,
-    }
+    let mut stamp = vec![usize::MAX; netlist.num_nets()];
+    partitions
+        .into_iter()
+        .enumerate()
+        .map(|(part, cells)| {
+            let mut distinct_nets = 0u64;
+            for &c in cells {
+                for &net in netlist.nets_of_cell(c) {
+                    if stamp[net.index()] != part {
+                        stamp[net.index()] = part;
+                        distinct_nets += 1;
+                    }
+                }
+            }
+            Workload {
+                net_evaluations: distinct_nets,
+                misc_operations: cells.len() as u64 * 4,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -181,11 +193,11 @@ mod tests {
         let netlist = engine.evaluator().netlist().clone();
         let cells: Vec<_> = netlist.cell_ids().collect();
         let mid = cells.len() / 2;
-        let a = partition_evaluation_workload(&engine, &cells[..mid]);
-        let b = partition_evaluation_workload(&engine, &cells[mid..]);
-        assert!(a.net_evaluations + b.net_evaluations >= netlist.num_nets() as u64);
-        let whole = partition_evaluation_workload(&engine, &cells);
-        assert_eq!(whole.net_evaluations, netlist.num_nets() as u64);
+        let split = partition_evaluation_workloads(&engine, [&cells[..mid], &cells[mid..]]);
+        assert!(split[0].net_evaluations + split[1].net_evaluations >= netlist.num_nets() as u64);
+        let whole = partition_evaluation_workloads(&engine, [cells.as_slice()]);
+        assert_eq!(whole[0].net_evaluations, netlist.num_nets() as u64);
+        assert_eq!(whole[0].misc_operations, 4 * cells.len() as u64);
     }
 
     #[test]

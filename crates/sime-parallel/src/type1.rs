@@ -44,7 +44,7 @@
 use crate::control::{FreeRun, RunControl};
 use crate::exec::{ExecBackend, Modeled, Task};
 use crate::report::{
-    partition_evaluation_workload, StrategyOutcome, BYTES_PER_CELL, BYTES_PER_GOODNESS,
+    partition_evaluation_workloads, StrategyOutcome, BYTES_PER_CELL, BYTES_PER_GOODNESS,
 };
 use cluster_sim::machine::Workload;
 use cluster_sim::timeline::{ClusterConfig, ClusterTimeline};
@@ -260,14 +260,9 @@ pub fn run_type1_ctl(
     let chunk = num_cells.div_ceil(config.ranks);
     let partitions: Vec<Arc<Vec<CellId>>> =
         cells.chunks(chunk).map(|c| Arc::new(c.to_vec())).collect();
-    let partition_work: Vec<Workload> = (0..config.ranks)
-        .map(|r| {
-            partitions
-                .get(r)
-                .map(|p| partition_evaluation_workload(engine, p))
-                .unwrap_or_default()
-        })
-        .collect();
+    let mut partition_work =
+        partition_evaluation_workloads(engine, partitions.iter().map(|p| p.as_slice()));
+    partition_work.resize(config.ranks, Workload::default());
     let mut eval_scratch: Vec<Option<EvalScratch>> = (0..partitions.len())
         .map(|_| Some(EvalScratch::new(netlist.num_nets())))
         .collect();

@@ -47,7 +47,7 @@
 
 use crate::control::{FreeRun, RunControl};
 use crate::exec::{ExecBackend, Modeled, Task};
-use crate::report::{StrategyOutcome, BYTES_PER_CELL};
+use crate::report::{partition_evaluation_workloads, StrategyOutcome, BYTES_PER_CELL};
 use cluster_sim::machine::Workload;
 use cluster_sim::timeline::{ClusterConfig, ClusterTimeline};
 use rand::seq::SliceRandom;
@@ -246,16 +246,29 @@ pub fn run_type2_ctl(
         let mut tasks: Vec<Task<RankOutput>> = Vec::new();
         let mut task_meta: Vec<(usize, Workload, usize)> = Vec::new();
 
+        // One pass over the cells (in id order) through a row -> rank table
+        // builds every rank's cell set (the assignment partitions the rows),
+        // and one per-net stamp array prices all the ranks' evaluations.
+        let mut rank_of_row = vec![0; num_rows];
+        for (rank, rows) in assignment.iter().enumerate() {
+            for &row in rows {
+                rank_of_row[row] = rank;
+            }
+        }
+        let mut owned_by_rank: Vec<Vec<CellId>> = vec![Vec::new(); config.ranks];
+        for c in netlist.cell_ids() {
+            owned_by_rank[rank_of_row[placement.row_of(c)]].push(c);
+        }
+        let eval_works =
+            partition_evaluation_workloads(engine, owned_by_rank.iter().map(Vec::as_slice));
+
         for (rank, rows) in assignment.iter().enumerate() {
             if rows.is_empty() {
                 continue;
             }
-            let owned: Vec<CellId> = netlist
-                .cell_ids()
-                .filter(|&c| rows.contains(&placement.row_of(c)))
-                .collect();
-            let frozen = engine.frozen_mask_from_owned(&owned);
-            let eval_work = crate::report::partition_evaluation_workload(engine, &owned);
+            let owned = &owned_by_rank[rank];
+            let frozen = engine.frozen_mask_from_owned(owned);
+            let eval_work = eval_works[rank];
             bytes_per_rank[rank] = owned.len() as u64 * BYTES_PER_CELL;
             task_meta.push((rank, eval_work, owned.len()));
 

@@ -124,6 +124,10 @@ fn type2_specs_with_more_ranks_than_rows_are_rejected_without_leaking_slots() {
         matches!(events.last(), Some(Event::Done { .. })),
         "{events:?}"
     );
+    // A job thread releases its slot only after it sends the terminal
+    // event, so read the slot accounting once the job threads are joined.
+    // A slot leaked by a panicked job thread stays leaked across the join.
+    server.drain();
     let stats = server.stats();
     assert_eq!((stats.active, stats.queued), (0, 0), "{stats:?}");
     assert_drained_clean(&server);

@@ -28,17 +28,22 @@
 //! # Cache invalidation invariants
 //!
 //! [`NetLengthCache::refresh`] is exact as long as cell coordinates only
-//! change through [`Placement`] methods (which funnel every mutation through
-//! a row rebuild that bumps the row's epoch):
+//! change through [`Placement`] methods (every edit bumps the epoch of each
+//! row it touches):
 //!
 //! * cached entries are keyed on [`Placement::uid`]; evaluating a *different*
 //!   placement object (including clones, which take a fresh uid) triggers a
 //!   full recompute,
 //! * a net is re-evaluated iff it touches a cell of a row whose
-//!   [`Placement::row_epoch`] advanced since the last refresh,
-//! * a cell that is ripped up (`remove_cell`) keeps its last coordinates, so
-//!   nets that reference it mid-allocation evaluate exactly as the oracle
-//!   does; its eventual re-insertion dirties the target row and restores
+//!   [`Placement::row_epoch`] advanced since the last refresh. Blocked row
+//!   packing (see [`crate::layout`]) moves a row's later cells by shifting
+//!   their blocks' bases instead of rewriting each cell, but only inside
+//!   the edited row, so the row-epoch signal still covers every cell whose
+//!   x changed,
+//! * a cell that is ripped up (`remove_cell`) is detached with its last
+//!   absolute coordinates, so nets that reference it mid-allocation evaluate
+//!   exactly as the oracle does; edits of its old row do not move it, and
+//!   its eventual re-insertion dirties the target row and restores
 //!   freshness.
 
 use crate::cost::{CellCost, CostEvaluator};

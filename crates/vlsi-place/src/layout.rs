@@ -20,6 +20,40 @@
 //! validate fixed positions instead of trusting the file). Circuits without
 //! fixed cells have no blocked spans and pack bitwise identically to the
 //! original gap-free model.
+//!
+//! # Blocked row packing
+//!
+//! SimE collapses rows fast: on large circuits one row can hold thousands of
+//! cells after a few iterations, and allocation edits such rows tens of
+//! thousands of times per iteration. Re-packing the whole row suffix on
+//! every edit would make each edit pay for the length of the row, so a
+//! gap-free row is split into **blocks**: runs of about 64 (`BLOCK_CELLS`)
+//! consecutive cells that share an absolute `base` (the left edge of the
+//! run). Each cell stores its block, its slot in the block and its centre
+//! relative to the block; [`Placement::x_of`] is `base + rel` and
+//! [`Placement::index_in_row`] is `first + slot`. An insert, remove or swap
+//! re-packs only the block it lands in and then rewrites the `first`/`base`
+//! entries of the row's later blocks — `O(block + row / 64)` instead of
+//! `O(row)`. A block splits in half when an insertion grows it past 128
+//! cells, and a block that shrinks to a sliver merges into a neighbour.
+//!
+//! **Exactness.** Cell widths are integers, so every left edge is an exact
+//! integer and every centre an exact half-integer double (far below 2⁵³).
+//! A base is an integer prefix sum and a relative centre an integer partial
+//! sum plus half a width, so `base + rel` rounds nowhere and equals the
+//! from-scratch left-to-right prefix sum bit for bit. Coordinates,
+//! trajectories and work counts are therefore independent of where the
+//! block boundaries fall.
+//!
+//! **Detached cells.** A ripped-up cell ([`Placement::remove_cell`]) and a
+//! fixed cell belong to a sentinel block with base `0.0` whose relative
+//! coordinate is the cell's absolute x, so a ripped-up cell keeps its last
+//! coordinates (allocation scores its nets against them) and
+//! [`Placement::index_in_row`] fails fast for it.
+//!
+//! **Spanned rows.** A row with blocked spans keeps a single block with base
+//! `0.0` and the eager suffix re-pack: packing around a span depends on the
+//! absolute cursor, so the row cannot be cut into independently based runs.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -34,6 +68,69 @@ static PLACEMENT_UID: AtomicU64 = AtomicU64::new(1);
 
 fn next_placement_uid() -> u64 {
     PLACEMENT_UID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Target number of cells per block of a gap-free row (see the module docs):
+/// constructors cut rows into runs of this many cells, an insertion splits a
+/// block that grows past twice this size, and a removal merges a block that
+/// falls below a quarter of it into a neighbour with room.
+const BLOCK_CELLS: usize = 64;
+
+/// Arena id of the sentinel block that detached (ripped-up and fixed) cells
+/// belong to: base `0.0`, and a `first` ordinal no row reaches.
+const DETACHED: u32 = 0;
+
+/// A run of consecutive cells of one row sharing an absolute left edge.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    /// Ordinal (within the row) of the block's first cell.
+    first: u32,
+    /// Number of cells in the block.
+    len: u32,
+    /// Absolute x of the block's left edge.
+    base: f64,
+    /// Packing cursor after the block's last cell, relative to `base`.
+    extent: f64,
+}
+
+impl Block {
+    const SENTINEL: Block = Block {
+        first: u32::MAX,
+        len: 0,
+        base: 0.0,
+        extent: 0.0,
+    };
+
+    fn empty() -> Block {
+        Block {
+            first: 0,
+            len: 0,
+            base: 0.0,
+            extent: 0.0,
+        }
+    }
+}
+
+/// Where a cell sits: its block, its slot in the block and its centre x
+/// relative to the block's base. One record per cell, so [`Placement::x_of`]
+/// touches one cache line per cell.
+#[derive(Debug, Clone, Copy)]
+struct CellAt {
+    /// Arena id of the block ([`DETACHED`] for ripped-up and fixed cells).
+    block: u32,
+    /// Ordinal within the block.
+    slot: u32,
+    /// Centre x relative to the block's base (absolute for detached cells,
+    /// whose block has base `0.0`).
+    rel: f64,
+}
+
+impl CellAt {
+    const DETACHED: CellAt = CellAt {
+        block: DETACHED,
+        slot: 0,
+        rel: 0.0,
+    };
 }
 
 /// Height of a placement row in layout units. Standard cells share a common
@@ -67,6 +164,21 @@ pub enum PlacementError {
         /// Cells in the netlist.
         expected: usize,
     },
+    /// A cell's cached centre x coordinate differs from a from-scratch
+    /// re-pack of its row.
+    StaleCoordinate(CellId),
+    /// A row's recorded movable width differs from the sum of its cells'
+    /// widths (reported for empty rows too).
+    RowWidthMismatch {
+        /// Row index.
+        row: usize,
+        /// Width the placement records for the row.
+        recorded: u64,
+        /// Sum of the widths of the row's cells.
+        actual: u64,
+    },
+    /// A row's cached right extent differs from a from-scratch re-pack.
+    StaleRowExtent(usize),
 }
 
 impl std::fmt::Display for PlacementError {
@@ -83,6 +195,20 @@ impl std::fmt::Display for PlacementError {
             PlacementError::CellCountMismatch { placed, expected } => {
                 write!(f, "placement has {placed} cells, netlist has {expected}")
             }
+            PlacementError::StaleCoordinate(c) => {
+                write!(f, "cell {c} x coordinate disagrees with its row packing")
+            }
+            PlacementError::RowWidthMismatch {
+                row,
+                recorded,
+                actual,
+            } => write!(
+                f,
+                "row {row} records width {recorded}, its cells sum to {actual}"
+            ),
+            PlacementError::StaleRowExtent(row) => {
+                write!(f, "row {row} extent disagrees with its packing")
+            }
         }
     }
 }
@@ -91,8 +217,10 @@ impl std::error::Error for PlacementError {}
 
 /// A legal row-based placement of all cells of a netlist.
 ///
-/// The structure keeps per-cell cached coordinates so that cost evaluation is
-/// cheap; the caches are refreshed for a whole row whenever that row changes.
+/// The structure keeps per-cell coordinates so that cost evaluation is cheap.
+/// Gap-free rows are stored as blocks of about 64 cells (see the
+/// module docs), so a single-slot edit re-packs one block and shifts the
+/// bases of the row's later blocks instead of re-packing the row suffix.
 /// Note: deliberately **not** `Serialize`/`Deserialize`. The `uid` field
 /// must be unique per live object (incremental caches key on it), so a
 /// derived round-trip that restored a stored uid verbatim could alias two
@@ -103,13 +231,10 @@ impl std::error::Error for PlacementError {}
 pub struct Placement {
     /// Cells of each row, in left-to-right order.
     rows: Vec<Vec<CellId>>,
-    /// Row of each cell.
+    /// Row of each cell (kept across a rip-up, like the coordinates).
     cell_row: Vec<u32>,
-    /// Cached ordinal index of each cell within its row (maintained by
-    /// [`Placement::rebuild_row_x`], which already walks the row).
-    cell_index: Vec<u32>,
-    /// Cached centre x coordinate of each cell.
-    cell_x: Vec<f64>,
+    /// Block, slot and relative centre of each cell.
+    cell_at: Vec<CellAt>,
     /// Cached width of each cell (copied from the netlist to avoid lookups).
     cell_width: Vec<u32>,
     /// Total movable width of each row (fixed cells are not row members).
@@ -122,13 +247,20 @@ pub struct Placement {
     /// Packing cursor after the last movable cell of each row — the row's
     /// right extent, including any gaps forced by blocked spans.
     row_extent: Vec<f64>,
+    /// Block arena; entry [`DETACHED`] is the sentinel.
+    blocks: Vec<Block>,
+    /// Arena ids of each row's blocks, left to right. Never empty; only a
+    /// row's sole block may be empty.
+    row_blocks: Vec<Vec<u32>>,
+    /// Recycled arena ids.
+    free_blocks: Vec<u32>,
     /// Total width of all movable cells (denominator of `avg_row_width`).
     movable_total_width: u64,
     /// Unique identity of this placement object; refreshed on clone so
     /// incremental caches keyed on a placement never confuse two objects that
     /// share a mutation history (e.g. per-rank clones in Type II).
     uid: u64,
-    /// Monotone mutation counter; bumped on every row rebuild.
+    /// Monotone mutation counter; bumped on every row edit.
     epoch: u64,
     /// For each row, the `epoch` at which it last changed. An incremental
     /// cost cache is valid for a row iff it has seen this epoch.
@@ -140,13 +272,15 @@ impl Clone for Placement {
         Placement {
             rows: self.rows.clone(),
             cell_row: self.cell_row.clone(),
-            cell_index: self.cell_index.clone(),
-            cell_x: self.cell_x.clone(),
+            cell_at: self.cell_at.clone(),
             cell_width: self.cell_width.clone(),
             row_width: self.row_width.clone(),
             fixed: self.fixed.clone(),
             blocked: self.blocked.clone(),
             row_extent: self.row_extent.clone(),
+            blocks: self.blocks.clone(),
+            row_blocks: self.row_blocks.clone(),
+            free_blocks: self.free_blocks.clone(),
             movable_total_width: self.movable_total_width,
             uid: next_placement_uid(),
             epoch: self.epoch,
@@ -192,7 +326,7 @@ impl Placement {
             p.row_width[row] += p.cell_width[cell.index()] as u64;
         }
         for r in 0..num_rows {
-            p.rebuild_row_x(r);
+            p.rebuild_row(r);
         }
         p
     }
@@ -209,23 +343,27 @@ impl Placement {
             .filter(|c| !c.fixed)
             .map(|c| c.width as u64)
             .sum();
+        let mut blocks = vec![Block::SENTINEL];
+        blocks.extend((0..num_rows).map(|_| Block::empty()));
         let mut p = Placement {
             rows: vec![Vec::with_capacity(n / num_rows + 1); num_rows],
             cell_row: vec![0; n],
-            cell_index: vec![0; n],
-            cell_x: vec![0.0; n],
+            cell_at: vec![CellAt::DETACHED; n],
             cell_width: netlist.cells().iter().map(|c| c.width).collect(),
             row_width: vec![0; num_rows],
             fixed: netlist.cells().iter().map(|c| c.fixed).collect(),
             blocked,
             row_extent: vec![0.0; num_rows],
+            blocks,
+            row_blocks: (1..=num_rows as u32).map(|b| vec![b]).collect(),
+            free_blocks: Vec::new(),
             movable_total_width,
             uid: next_placement_uid(),
             epoch: 0,
             row_epoch: vec![0; num_rows],
         };
         for (cell, cx, row) in positions {
-            p.cell_x[cell.index()] = cx;
+            p.cell_at[cell.index()].rel = cx;
             p.cell_row[cell.index()] = row;
         }
         p
@@ -252,7 +390,7 @@ impl Placement {
             }
             p.row_width[r] = width;
             p.rows[r] = cells;
-            p.rebuild_row_x(r);
+            p.rebuild_row(r);
         }
         p
     }
@@ -280,17 +418,17 @@ impl Placement {
         self.cell_row[cell.index()] as usize
     }
 
-    /// Ordinal index of `cell` within its row. O(1): the ordinal is cached
-    /// per cell and maintained by the same row walk that refreshes the x
-    /// coordinates, because `slot_of`/`trial_position` sit under the
-    /// allocation trial loop.
+    /// Ordinal index of `cell` within its row. O(1): the block's first
+    /// ordinal plus the cell's slot in the block, because
+    /// `slot_of`/`trial_position` sit under the allocation trial loop.
     #[inline]
     pub fn index_in_row(&self, cell: CellId) -> usize {
-        let idx = self.cell_index[cell.index()] as usize;
-        // Always-on fail-fast, like the linear scan this replaced: an
-        // unplaced cell (e.g. a double remove_cell) must panic here, not
-        // silently evict whichever cell sits at its stale cached ordinal.
-        // O(1), negligible next to the O(row) mutations that call this.
+        let at = self.cell_at[cell.index()];
+        let idx = self.blocks[at.block as usize].first as usize + at.slot as usize;
+        // Always-on fail-fast: an unplaced cell (e.g. a double remove_cell)
+        // must panic here, not silently evict whichever cell sits at a stale
+        // ordinal (a detached cell's sentinel ordinal is out of range). O(1),
+        // negligible next to the mutations that call this.
         assert_eq!(
             self.rows[self.row_of(cell)].get(idx).copied(),
             Some(cell),
@@ -307,18 +445,20 @@ impl Placement {
         }
     }
 
-    /// Cached centre x coordinate of `cell` (the first component of
-    /// [`Placement::position`], without recomputing the y coordinate).
+    /// Centre x coordinate of `cell` (the first component of
+    /// [`Placement::position`], without computing the y coordinate): its
+    /// block's base plus its relative centre, exact (see the module docs).
     #[inline]
     pub fn x_of(&self, cell: CellId) -> f64 {
-        self.cell_x[cell.index()]
+        let at = self.cell_at[cell.index()];
+        self.blocks[at.block as usize].base + at.rel
     }
 
     /// Centre coordinates of `cell` in layout units.
     #[inline]
     pub fn position(&self, cell: CellId) -> (f64, f64) {
         (
-            self.cell_x[cell.index()],
+            self.x_of(cell),
             (self.cell_row[cell.index()] as f64 + 0.5) * ROW_HEIGHT,
         )
     }
@@ -368,21 +508,33 @@ impl Placement {
         (self.width() as f64) <= (1.0 + alpha) * self.avg_row_width()
     }
 
-    /// Removes `cell` from its row and returns the slot it occupied.
+    /// Removes `cell` from its row and returns the slot it occupied. The
+    /// cell keeps its row and x coordinate (detached, see the module docs)
+    /// until it is inserted again.
     ///
     /// # Panics
     ///
-    /// Panics if `cell` is fixed — fixed cells are never row members.
+    /// Panics if `cell` is fixed — fixed cells are never row members — or
+    /// not currently placed.
     pub fn remove_cell(&mut self, cell: CellId) -> Slot {
         assert!(
             !self.fixed[cell.index()],
             "fixed cell {cell} cannot be moved"
         );
         let slot = self.slot_of(cell);
+        let (pos, at) = self.locate(slot.row, slot.index);
+        let b = self.row_blocks[slot.row][pos];
+        self.cell_at[cell.index()] = CellAt {
+            rel: self.x_of(cell),
+            ..CellAt::DETACHED
+        };
         self.rows[slot.row].remove(slot.index);
         self.row_width[slot.row] -= self.cell_width[cell.index()] as u64;
-        // Cells left of the removal point keep their exact coordinates.
-        self.rebuild_row_x_from(slot.row, slot.index);
+        self.blocks[b as usize].len -= 1;
+        self.repack_block(slot.row, b, at);
+        let pos = self.coalesce(slot.row, pos);
+        self.reflow_after(slot.row, pos);
+        self.touch(slot.row);
         slot
     }
 
@@ -397,12 +549,20 @@ impl Placement {
             !self.fixed[cell.index()],
             "fixed cell {cell} cannot be moved"
         );
-        let index = slot.index.min(self.rows[slot.row].len());
-        self.rows[slot.row].insert(index, cell);
-        self.cell_row[cell.index()] = slot.row as u32;
-        self.row_width[slot.row] += self.cell_width[cell.index()] as u64;
-        // Cells left of the insertion point keep their exact coordinates.
-        self.rebuild_row_x_from(slot.row, index);
+        let row = slot.row;
+        let index = slot.index.min(self.rows[row].len());
+        let (pos, at) = self.locate(row, index);
+        let b = self.row_blocks[row][pos];
+        self.rows[row].insert(index, cell);
+        self.cell_row[cell.index()] = row as u32;
+        self.row_width[row] += self.cell_width[cell.index()] as u64;
+        self.blocks[b as usize].len += 1;
+        self.repack_block(row, b, at);
+        if self.blocks[b as usize].len as usize > 2 * BLOCK_CELLS && self.blocked[row].is_empty() {
+            self.split_block(row, pos);
+        }
+        self.reflow_after(row, pos);
+        self.touch(row);
     }
 
     /// Moves `cell` to `slot` (remove + insert).
@@ -411,7 +571,8 @@ impl Placement {
         self.insert_cell(cell, slot);
     }
 
-    /// Swaps the slots of two cells (a classical SA/TS/GA move).
+    /// Swaps the slots of two cells (a classical SA/TS/GA move). Re-packs
+    /// only the (at most two) blocks holding the swapped slots.
     ///
     /// # Panics
     ///
@@ -435,12 +596,22 @@ impl Placement {
         if sa.row != sb.row {
             self.row_width[sa.row] = self.row_width[sa.row] - wa + wb;
             self.row_width[sb.row] = self.row_width[sb.row] - wb + wa;
-        }
-        if sa.row == sb.row {
-            self.rebuild_row_x_from(sa.row, sa.index.min(sb.index));
+            for s in [sa, sb] {
+                let (pos, at) = self.locate(s.row, s.index);
+                self.repack_block(s.row, self.row_blocks[s.row][pos], at);
+                self.reflow_after(s.row, pos);
+                self.touch(s.row);
+            }
         } else {
-            self.rebuild_row_x_from(sa.row, sa.index);
-            self.rebuild_row_x_from(sb.row, sb.index);
+            let row = sa.row;
+            let (lo, at_lo) = self.locate(row, sa.index.min(sb.index));
+            let (hi, at_hi) = self.locate(row, sa.index.max(sb.index));
+            self.repack_block(row, self.row_blocks[row][lo], at_lo);
+            if hi != lo {
+                self.repack_block(row, self.row_blocks[row][hi], at_hi);
+            }
+            self.reflow_after(row, lo);
+            self.touch(row);
         }
     }
 
@@ -460,8 +631,8 @@ impl Placement {
         let x = if index == 0 {
             0.0
         } else {
-            let prev = row[index - 1].index();
-            self.cell_x[prev] + self.cell_width[prev] as f64 / 2.0
+            let prev = row[index - 1];
+            self.x_of(prev) + self.cell_width[prev.index()] as f64 / 2.0
         };
         let w = self.cell_width[cell.index()] as f64;
         let x = next_free(&self.blocked[slot.row], x, w);
@@ -475,7 +646,9 @@ impl Placement {
     }
 
     /// Checks structural invariants against the netlist: every cell placed
-    /// exactly once, bookkeeping consistent.
+    /// exactly once, bookkeeping consistent, and every placed cell's x
+    /// coordinate and ordinal and every row's width and extent equal (bit
+    /// for bit) to a from-scratch left-to-right re-pack of the row lists.
     pub fn validate(&self, netlist: &Netlist) -> Result<(), PlacementError> {
         if self.cell_row.len() != netlist.num_cells() {
             return Err(PlacementError::CellCountMismatch {
@@ -486,30 +659,39 @@ impl Placement {
         let mut seen = vec![false; netlist.num_cells()];
         for (r, row) in self.rows.iter().enumerate() {
             let mut width = 0u64;
+            let mut x = 0.0;
             for (i, &cell) in row.iter().enumerate() {
-                if self.fixed[cell.index()] {
+                let c = cell.index();
+                if self.fixed[c] {
                     return Err(PlacementError::FixedCellInRow(cell));
                 }
-                if seen[cell.index()] {
+                if seen[c] {
                     return Err(PlacementError::DuplicateCell(cell));
                 }
-                seen[cell.index()] = true;
-                if self.cell_row[cell.index()] as usize != r {
+                seen[c] = true;
+                let at = self.cell_at[c];
+                if self.cell_row[c] as usize != r
+                    || self.blocks[at.block as usize].first as usize + at.slot as usize != i
+                {
                     return Err(PlacementError::InconsistentRow(cell));
                 }
-                if self.cell_index[cell.index()] as usize != i {
-                    return Err(PlacementError::InconsistentRow(cell));
+                let w = self.cell_width[c] as f64;
+                let left = next_free(&self.blocked[r], x, w);
+                if self.x_of(cell).to_bits() != (left + w / 2.0).to_bits() {
+                    return Err(PlacementError::StaleCoordinate(cell));
                 }
-                width += self.cell_width[cell.index()] as u64;
+                x = left + w;
+                width += self.cell_width[c] as u64;
             }
             if width != self.row_width[r] {
-                // Row width bookkeeping is internal; treat divergence as an
-                // inconsistent row on the first cell of the row (or a
-                // mismatch if the row is empty, which cannot happen when
-                // width differs from 0).
-                if let Some(&first) = row.first() {
-                    return Err(PlacementError::InconsistentRow(first));
-                }
+                return Err(PlacementError::RowWidthMismatch {
+                    row: r,
+                    recorded: self.row_width[r],
+                    actual: width,
+                });
+            }
+            if self.row_extent[r].to_bits() != x.to_bits() {
+                return Err(PlacementError::StaleRowExtent(r));
             }
         }
         for (i, &s) in seen.iter().enumerate() {
@@ -531,46 +713,177 @@ impl Placement {
     /// The epoch at which `row` last changed (monotone across the whole
     /// placement). Together with [`Placement::uid`] this is the invalidation
     /// signal for incremental net-length caches: a row's cells can only move
-    /// (x or y) through a row rebuild, which bumps this value.
+    /// (x or y) through an edit of that row, which bumps this value.
     #[inline]
     pub fn row_epoch(&self, row: usize) -> u64 {
         self.row_epoch[row]
     }
 
-    /// Rebuilds the cached x coordinates and ordinals of every cell in `row`
-    /// and records the mutation in the row's epoch.
-    fn rebuild_row_x(&mut self, row: usize) {
-        self.rebuild_row_x_from(row, 0);
-    }
-
-    /// Rebuilds the cached x coordinates and ordinals of `row` starting at
-    /// ordinal `start`, resuming from the (untouched) left neighbour's right
-    /// edge. Left edges are exact cumulative integer sums in doubles, so the
-    /// resumed prefix sum reproduces a from-zero rebuild bit for bit — this
-    /// is what lets every single-slot mutation repack only the row suffix.
-    /// Records the mutation in the row's epoch regardless of `start`.
-    fn rebuild_row_x_from(&mut self, row: usize, start: usize) {
-        // Split borrows: the row list is read while the coordinate cache is
-        // written, so take the row out temporarily.
-        let cells = std::mem::take(&mut self.rows[row]);
-        let start = start.min(cells.len());
-        let mut x = if start == 0 {
-            0.0
-        } else {
-            let prev = cells[start - 1].index();
-            self.cell_x[prev] + self.cell_width[prev] as f64 / 2.0
-        };
-        for (i, &cell) in cells.iter().enumerate().skip(start) {
-            let w = self.cell_width[cell.index()] as f64;
-            let left = next_free(&self.blocked[row], x, w);
-            self.cell_x[cell.index()] = left + w / 2.0;
-            self.cell_index[cell.index()] = i as u32;
-            x = left + w;
-        }
-        self.rows[row] = cells;
-        self.row_extent[row] = x;
+    /// Records a mutation of `row` in its epoch.
+    fn touch(&mut self, row: usize) {
         self.epoch += 1;
         self.row_epoch[row] = self.epoch;
+    }
+
+    /// Re-cuts `row` into fresh blocks from its cell list — runs of
+    /// [`BLOCK_CELLS`] cells, or one block for a spanned row — packs them,
+    /// and records the mutation in the row's epoch.
+    fn rebuild_row(&mut self, row: usize) {
+        let mut ids = std::mem::take(&mut self.row_blocks[row]);
+        self.free_blocks.append(&mut ids);
+        let n = self.rows[row].len();
+        let run = if self.blocked[row].is_empty() {
+            BLOCK_CELLS
+        } else {
+            n.max(1)
+        };
+        let mut first = 0;
+        loop {
+            let len = run.min(n - first);
+            let b = self.alloc_block(Block {
+                first: first as u32,
+                len: len as u32,
+                ..Block::empty()
+            });
+            self.repack_block(row, b, 0);
+            ids.push(b);
+            first += len;
+            if first == n {
+                break;
+            }
+        }
+        self.row_blocks[row] = ids;
+        self.reflow_after(row, 0);
+        self.touch(row);
+    }
+
+    /// Takes a block id from the free list (or grows the arena).
+    fn alloc_block(&mut self, block: Block) -> u32 {
+        match self.free_blocks.pop() {
+            Some(b) => {
+                self.blocks[b as usize] = block;
+                b
+            }
+            None => {
+                self.blocks.push(block);
+                (self.blocks.len() - 1) as u32
+            }
+        }
+    }
+
+    /// The position (in `row_blocks[row]`) of the block holding ordinal
+    /// `index` of `row`, and the slot of `index` in that block. An index one
+    /// past the end of the row maps to one past the end of its last block.
+    fn locate(&self, row: usize, index: usize) -> (usize, usize) {
+        let ids = &self.row_blocks[row];
+        let pos = ids.partition_point(|&b| self.blocks[b as usize].first as usize <= index) - 1;
+        (pos, index - self.blocks[ids[pos] as usize].first as usize)
+    }
+
+    /// Re-packs block `b` of `row` from slot `at` on, resuming from the
+    /// (untouched) left neighbour's right edge: relative centres, slots and
+    /// block ids of the suffix, then the block's extent. The block's `first`
+    /// and `len` must already describe its cells in the row list.
+    fn repack_block(&mut self, row: usize, b: u32, at: usize) {
+        let Block {
+            first, len, base, ..
+        } = self.blocks[b as usize];
+        let cells = &self.rows[row][first as usize..(first + len) as usize];
+        let blocked = &self.blocked[row];
+        // Blocked spans are absolute; only a spanned row's sole block (base
+        // 0.0) packs around them.
+        debug_assert!(blocked.is_empty() || base == 0.0);
+        let mut x = match at.checked_sub(1).map(|i| cells[i].index()) {
+            None => 0.0,
+            Some(prev) => self.cell_at[prev].rel + self.cell_width[prev] as f64 / 2.0,
+        };
+        for (slot, &cell) in cells.iter().enumerate().skip(at) {
+            let c = cell.index();
+            let w = self.cell_width[c] as f64;
+            let left = next_free(blocked, x, w);
+            self.cell_at[c] = CellAt {
+                block: b,
+                slot: slot as u32,
+                rel: left + w / 2.0,
+            };
+            x = left + w;
+        }
+        self.blocks[b as usize].extent = x;
+    }
+
+    /// Rewrites `first`/`base` of the blocks after position `pos` of `row`
+    /// from their left neighbours, then the row extent. Bases are integer
+    /// prefix sums, so this reproduces a from-scratch pack exactly.
+    fn reflow_after(&mut self, row: usize, pos: usize) {
+        let ids = &self.row_blocks[row];
+        let mut prev = self.blocks[ids[pos] as usize];
+        for &b in &ids[pos + 1..] {
+            let block = &mut self.blocks[b as usize];
+            block.first = prev.first + prev.len;
+            block.base = prev.base + prev.extent;
+            prev = *block;
+        }
+        self.row_extent[row] = prev.base + prev.extent;
+    }
+
+    /// Splits the block at position `pos` of `row` in half; the right half
+    /// becomes a new block whose base [`Placement::reflow_after`] sets.
+    fn split_block(&mut self, row: usize, pos: usize) {
+        let b = self.row_blocks[row][pos];
+        let Block { first, len, .. } = self.blocks[b as usize];
+        let keep = len / 2;
+        let last = self.rows[row][(first + keep - 1) as usize].index();
+        let left = &mut self.blocks[b as usize];
+        left.len = keep;
+        left.extent = self.cell_at[last].rel + self.cell_width[last] as f64 / 2.0;
+        let nb = self.alloc_block(Block {
+            first: first + keep,
+            len: len - keep,
+            ..Block::empty()
+        });
+        self.row_blocks[row].insert(pos + 1, nb);
+        self.repack_block(row, nb, 0);
+    }
+
+    /// After a removal shrank the block at position `pos` of `row`: folds a
+    /// sliver block (under a quarter of [`BLOCK_CELLS`]) into a neighbour
+    /// with room, or drops it when empty, so a drained row does not keep
+    /// one block per cell. Returns the position [`Placement::reflow_after`]
+    /// must start from.
+    fn coalesce(&mut self, row: usize, pos: usize) -> usize {
+        let ids = &self.row_blocks[row];
+        let len = self.blocks[ids[pos] as usize].len as usize;
+        if ids.len() == 1 || len >= BLOCK_CELLS / 4 {
+            return pos;
+        }
+        let fits = |p: usize| self.blocks[ids[p] as usize].len as usize + len <= BLOCK_CELLS;
+        let into = if pos > 0 && fits(pos - 1) {
+            pos - 1
+        } else if pos + 1 < ids.len() && fits(pos + 1) {
+            pos
+        } else if len == 0 {
+            // Drop the empty block. Its left neighbour (or, at the row
+            // start, its right neighbour re-anchored at the origin) is where
+            // the reflow resumes.
+            let b = self.row_blocks[row].remove(pos);
+            self.free_blocks.push(b);
+            if pos == 0 {
+                let head = &mut self.blocks[self.row_blocks[row][0] as usize];
+                head.first = 0;
+                head.base = 0.0;
+            }
+            return pos.saturating_sub(1);
+        } else {
+            return pos;
+        };
+        // Append the right block's cells to the left one.
+        let (keep, gone) = (self.row_blocks[row][into], self.row_blocks[row][into + 1]);
+        let at = self.blocks[keep as usize].len;
+        self.blocks[keep as usize].len += self.blocks[gone as usize].len;
+        self.row_blocks[row].remove(into + 1);
+        self.free_blocks.push(gone);
+        self.repack_block(row, keep, at as usize);
+        into
     }
 }
 
@@ -921,6 +1234,49 @@ mod tests {
     }
 
     #[test]
+    fn blocks_split_when_a_row_grows_and_coalesce_when_it_drains() {
+        let nl = CircuitGenerator::new(GeneratorConfig::sized("layout_blocks", 1200, 9)).generate();
+        let mut p = Placement::round_robin(&nl, 4);
+        let mut rng = ChaCha8Rng::seed_from_u64(9);
+        // Every cell of rows 1..4 moves into row 0 at a random slot.
+        for r in 1..4 {
+            while let Some(&cell) = p.row(r).first() {
+                let index = rng.gen_range(0..p.slots_in_row(0));
+                p.move_cell(cell, Slot { row: 0, index });
+            }
+        }
+        let blocks = p.row_blocks[0].len();
+        assert!(
+            (1200 / (2 * BLOCK_CELLS)..=1200 / BLOCK_CELLS + 1).contains(&blocks),
+            "{blocks} blocks for 1,200 cells"
+        );
+        assert!(p.row_blocks[0]
+            .iter()
+            .all(|&b| p.blocks[b as usize].len as usize <= 2 * BLOCK_CELLS));
+        // Drain row 0 from random slots: slivers merge and empty blocks go,
+        // so the block count tracks the row length down to one block.
+        while !p.row(0).is_empty() {
+            let cell = p.row(0)[rng.gen_range(0..p.row(0).len())];
+            let row = rng.gen_range(1..4);
+            p.move_cell(cell, Slot { row, index: 0 });
+            let len = p.row(0).len();
+            assert!(p.row_blocks[0].len() <= len.div_ceil(BLOCK_CELLS / 4).max(1) + 1);
+        }
+        assert_eq!(p.row_blocks[0].len(), 1);
+        p.validate(&nl).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "not placed at its cached ordinal")]
+    fn removing_a_ripped_up_cell_twice_panics() {
+        let nl = netlist();
+        let mut p = Placement::round_robin(&nl, 4);
+        let cell = p.row(2)[3];
+        p.remove_cell(cell);
+        p.remove_cell(cell);
+    }
+
+    #[test]
     fn pure_circuits_have_no_blocked_spans_and_full_extent() {
         let nl = netlist();
         let p = Placement::round_robin(&nl, 5);
@@ -928,6 +1284,62 @@ mod tests {
             assert!(p.blocked_spans(r).is_empty());
             assert_eq!(p.row_extent(r).to_bits(), (p.row_width(r) as f64).to_bits());
         }
+    }
+
+    #[test]
+    fn validate_reports_a_width_mismatch_on_an_empty_row() {
+        let nl = netlist();
+        let mut rows = vec![Vec::new(); 3];
+        rows[0] = nl.cell_ids().collect();
+        let mut p = Placement::from_rows(&nl, rows);
+        p.validate(&nl).unwrap();
+        p.row_width[2] = 5;
+        let err = p.validate(&nl).unwrap_err();
+        assert_eq!(
+            err,
+            PlacementError::RowWidthMismatch {
+                row: 2,
+                recorded: 5,
+                actual: 0
+            }
+        );
+        assert_eq!(err.to_string(), "row 2 records width 5, its cells sum to 0");
+    }
+
+    #[test]
+    fn validate_compares_coordinates_ordinals_and_extents_with_a_repack() {
+        let nl = netlist();
+        // One 120-cell row: two blocks.
+        let mut p = Placement::round_robin(&nl, 1);
+        assert_eq!(p.row_blocks[0].len(), 2);
+        p.validate(&nl).unwrap();
+        let cell = p.row(0)[5];
+        p.cell_at[cell.index()].rel += 1.0;
+        let err = p.validate(&nl).unwrap_err();
+        assert_eq!(err, PlacementError::StaleCoordinate(cell));
+        assert!(err.to_string().contains("x coordinate"));
+        p.cell_at[cell.index()].rel -= 1.0;
+        // A later block whose base missed a shift moves all of its cells.
+        let second = p.row_blocks[0][1] as usize;
+        let first_of_second = p.row(0)[p.blocks[second].first as usize];
+        p.blocks[second].base += 2.0;
+        assert_eq!(
+            p.validate(&nl).unwrap_err(),
+            PlacementError::StaleCoordinate(first_of_second)
+        );
+        p.blocks[second].base -= 2.0;
+        p.cell_at[cell.index()].slot += 1;
+        assert_eq!(
+            p.validate(&nl).unwrap_err(),
+            PlacementError::InconsistentRow(cell)
+        );
+        p.cell_at[cell.index()].slot -= 1;
+        p.row_extent[0] += 0.5;
+        let err = p.validate(&nl).unwrap_err();
+        assert_eq!(err, PlacementError::StaleRowExtent(0));
+        assert!(err.to_string().contains("row 0 extent"));
+        p.row_extent[0] -= 0.5;
+        p.validate(&nl).unwrap();
     }
 
     #[test]

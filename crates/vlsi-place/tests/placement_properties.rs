@@ -154,3 +154,279 @@ proptest! {
         p.validate(&netlist).unwrap();
     }
 }
+
+/// Differential harness for blocked row packing: drives a placement through
+/// seeded edits and, after every step, compares it bit for bit against
+/// `Placement::from_rows` of the same row lists, checks that ripped-up cells
+/// keep their coordinates, and that exactly the mutated rows' epochs moved.
+mod blocked_packing {
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use vlsi_netlist::generator::{CircuitGenerator, GeneratorConfig, MixedSizeSpec};
+    use vlsi_netlist::{CellId, Netlist};
+    use vlsi_place::layout::{Placement, PlacementError, Slot};
+
+    struct Harness<'a> {
+        nl: &'a Netlist,
+        p: Placement,
+        /// Ripped-up cells and their x at removal.
+        ripped: Vec<(CellId, f64)>,
+        rng: ChaCha8Rng,
+    }
+
+    impl<'a> Harness<'a> {
+        fn new(nl: &'a Netlist, rows: usize, seed: u64) -> Self {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let p = Placement::random(nl, rows, &mut rng);
+            let h = Harness {
+                nl,
+                p,
+                ripped: Vec::new(),
+                rng,
+            };
+            h.check(&h.epochs(), &[]);
+            h
+        }
+
+        fn epochs(&self) -> Vec<u64> {
+            (0..self.p.num_rows())
+                .map(|r| self.p.row_epoch(r))
+                .collect()
+        }
+
+        fn placed_cell(&mut self) -> CellId {
+            loop {
+                let c = CellId::from(self.rng.gen_range(0..self.nl.num_cells()));
+                if !self.p.is_fixed(c) && !self.ripped.iter().any(|&(r, _)| r == c) {
+                    return c;
+                }
+            }
+        }
+
+        fn slot_in(&mut self, row: usize) -> Slot {
+            let index = self.rng.gen_range(0..self.p.slots_in_row(row));
+            Slot { row, index }
+        }
+
+        fn random_slot(&mut self) -> Slot {
+            let row = self.rng.gen_range(0..self.p.num_rows());
+            self.slot_in(row)
+        }
+
+        /// Runs `edit`, then checks the result; `edit` returns the rows it
+        /// mutated.
+        fn step(&mut self, edit: impl FnOnce(&mut Self) -> Vec<usize>) {
+            let before = self.epochs();
+            let mutated = edit(self);
+            self.check(&before, &mutated);
+        }
+
+        fn rip(&mut self, cell: CellId) -> Vec<usize> {
+            let x = self.p.x_of(cell);
+            let slot = self.p.remove_cell(cell);
+            self.ripped.push((cell, x));
+            vec![slot.row]
+        }
+
+        fn reinsert(&mut self, pick: usize, slot: Slot) -> Vec<usize> {
+            let (cell, _) = self.ripped.swap_remove(pick);
+            self.p.insert_cell(cell, slot);
+            vec![slot.row]
+        }
+
+        fn move_to(&mut self, cell: CellId, slot: Slot) -> Vec<usize> {
+            let from = self.p.row_of(cell);
+            self.p.move_cell(cell, slot);
+            vec![from, slot.row]
+        }
+
+        fn swap(&mut self, a: CellId, b: CellId) -> Vec<usize> {
+            let rows = vec![self.p.row_of(a), self.p.row_of(b)];
+            self.p.swap_cells(a, b);
+            if a == b {
+                Vec::new()
+            } else {
+                rows
+            }
+        }
+
+        /// One random edit: rip-up, re-insert, move or swap.
+        fn random_edit(&mut self) {
+            match self.rng.gen_range(0..4) {
+                0 => self.step(|h| {
+                    let c = h.placed_cell();
+                    h.rip(c)
+                }),
+                1 if !self.ripped.is_empty() => self.step(|h| {
+                    let pick = h.rng.gen_range(0..h.ripped.len());
+                    let slot = h.random_slot();
+                    h.reinsert(pick, slot)
+                }),
+                2 => self.step(|h| {
+                    let c = h.placed_cell();
+                    let slot = h.random_slot();
+                    h.move_to(c, slot)
+                }),
+                _ => self.step(|h| {
+                    let a = h.placed_cell();
+                    let b = h.placed_cell();
+                    h.swap(a, b)
+                }),
+            }
+        }
+
+        fn check(&self, before: &[u64], mutated: &[usize]) {
+            let (nl, p) = (self.nl, &self.p);
+            let rows: Vec<Vec<CellId>> = (0..p.num_rows()).map(|r| p.row(r).to_vec()).collect();
+            let q = Placement::from_rows(nl, rows);
+            for (r, &epoch_before) in before.iter().enumerate() {
+                assert_eq!(p.row_width(r), q.row_width(r), "row {r} width");
+                assert_eq!(
+                    p.row_extent(r).to_bits(),
+                    q.row_extent(r).to_bits(),
+                    "row {r} extent"
+                );
+                for (i, &c) in p.row(r).iter().enumerate() {
+                    assert_eq!(p.index_in_row(c), i, "cell {c} ordinal");
+                    assert_eq!(p.x_of(c).to_bits(), q.x_of(c).to_bits(), "cell {c} x");
+                    let (pp, qp) = (p.position(c), q.position(c));
+                    assert_eq!(pp.0.to_bits(), qp.0.to_bits());
+                    assert_eq!(pp.1.to_bits(), qp.1.to_bits());
+                }
+                let advanced = p.row_epoch(r) > epoch_before;
+                assert_eq!(
+                    advanced,
+                    mutated.contains(&r),
+                    "row {r} epoch advanced = {advanced}, mutated rows {mutated:?}"
+                );
+            }
+            for c in nl.cell_ids().filter(|&c| p.is_fixed(c)) {
+                assert_eq!(p.position(c), q.position(c), "fixed cell {c}");
+            }
+            for &(c, x) in &self.ripped {
+                assert_eq!(p.x_of(c).to_bits(), x.to_bits(), "ripped-up cell {c} moved");
+            }
+            match (p.validate(nl), self.ripped.first()) {
+                (Ok(()), None) => {}
+                (Err(PlacementError::MissingCell(c)), Some(_)) => {
+                    assert!(self.ripped.iter().any(|&(r, _)| r == c))
+                }
+                (other, _) => panic!("validate: {other:?} with {} ripped", self.ripped.len()),
+            }
+        }
+    }
+
+    fn gap_free(cells: usize, seed: u64) -> Netlist {
+        CircuitGenerator::new(GeneratorConfig::sized(
+            format!("blocked_{seed}"),
+            cells,
+            seed,
+        ))
+        .generate()
+    }
+
+    #[test]
+    fn random_edits_match_a_from_scratch_repack() {
+        for seed in 0..4 {
+            let nl = gap_free(400 + 150 * seed as usize, seed);
+            // Few rows, so rows span several blocks from the start.
+            let mut h = Harness::new(&nl, 3, seed);
+            for _ in 0..400 {
+                h.random_edit();
+            }
+        }
+    }
+
+    #[test]
+    fn random_edits_match_on_rows_with_blocked_spans() {
+        let cfg = GeneratorConfig::sized("blocked_mixed", 600, 11).with_mixed(MixedSizeSpec {
+            num_macros: 4,
+            macro_height: 2,
+            pad_ring: true,
+        });
+        let nl = CircuitGenerator::new(cfg).generate();
+        let mut h = Harness::new(&nl, 5, 11);
+        assert!((0..5).any(|r| !h.p.blocked_spans(r).is_empty()));
+        for _ in 0..500 {
+            h.random_edit();
+        }
+    }
+
+    #[test]
+    fn a_row_grown_past_the_split_threshold_and_drained_stays_exact() {
+        let nl = gap_free(2400, 5);
+        let mut h = Harness::new(&nl, 6, 5);
+        // Push row 0 past 2,000 cells, with a random edit every few steps.
+        let mut step = 0;
+        while h.p.row(0).len() <= 2000 {
+            step += 1;
+            if step % 5 == 0 {
+                h.random_edit();
+                continue;
+            }
+            h.step(|h| {
+                let row = h.rng.gen_range(1..h.p.num_rows());
+                if h.p.row(row).is_empty() {
+                    return Vec::new();
+                }
+                let cell = h.p.row(row)[h.rng.gen_range(0..h.p.row(row).len())];
+                let slot = h.slot_in(0);
+                h.move_to(cell, slot)
+            });
+        }
+        // Drain it: rip cells out of row 0 — from the front, the back and
+        // random slots, so blocks at either end empty out — leaving them out
+        // for a while before re-inserting them elsewhere.
+        let mut step = 0;
+        while !h.p.row(0).is_empty() {
+            step += 1;
+            h.step(|h| {
+                let len = h.p.row(0).len();
+                let index = match step % 3 {
+                    0 => 0,
+                    1 => len - 1,
+                    _ => h.rng.gen_range(0..len),
+                };
+                let cell = h.p.row(0)[index];
+                h.rip(cell)
+            });
+            if h.ripped.len() > 8 {
+                h.step(|h| {
+                    let row = h.rng.gen_range(1..h.p.num_rows());
+                    let slot = h.slot_in(row);
+                    h.reinsert(0, slot)
+                });
+            }
+        }
+        // Refill the empty row through its (now sole) block.
+        for _ in 0..200 {
+            h.random_edit();
+        }
+    }
+
+    #[test]
+    fn clones_edit_independently_and_stay_exact() {
+        let nl = gap_free(900, 21);
+        let mut h = Harness::new(&nl, 2, 21);
+        for round in 0..6 {
+            for _ in 0..40 {
+                h.random_edit();
+            }
+            let original = h.p.clone();
+            assert_ne!(original.uid(), h.p.uid());
+            let xs: Vec<u64> = nl.cell_ids().map(|c| original.x_of(c).to_bits()).collect();
+            // Keep editing the clone (the old object stays untouched), and
+            // continue from the clone in the next round.
+            h.p = if round % 2 == 0 {
+                original.clone()
+            } else {
+                h.p
+            };
+            for _ in 0..40 {
+                h.random_edit();
+            }
+            let after: Vec<u64> = nl.cell_ids().map(|c| original.x_of(c).to_bits()).collect();
+            assert_eq!(xs, after, "editing a clone moved the original");
+        }
+    }
+}
