@@ -6,8 +6,8 @@
 //! cargo run --release -p bench --bin perf_guard
 //! ```
 //!
-//! Four groups of gates, each measured only when its bounds apply to the
-//! host (the metric names continue the checked-in `BENCH_*.json` snapshots):
+//! Three groups of gates, each measured on every host (the metric names
+//! continue the checked-in `BENCH_*.json` snapshots):
 //!
 //! * **head-to-head** (`BENCH_PR2.json`, pinned in `BENCH_BASELINE.json`) —
 //!   kernel against naive implementation on `s1196`, on the placement ten
@@ -23,13 +23,6 @@
 //!   iterations from identical seeded starts. It must reach 1.3× and the two
 //!   arms must agree bit for bit. Both arms are serial, so the floor applies
 //!   on every core count.
-//! * **persistent-epoch** (`BENCH_PR6.json`) — one fused `s15850` iteration,
-//!   serial against a persistent 4-worker pool at 2 and 4 chunks, for the
-//!   windowed and the exhaustive stride-8 allocation, best of 2 reps: the
-//!   windowed iteration must reach 2× at 4 chunks and the exhaustive one 1×
-//!   at 2 and 4 chunks, bitwise identical across chunk counts. The floors
-//!   are statements about parallel hardware, so on a host with fewer than 4
-//!   cores the group is skipped with a notice and not measured.
 //! * **row-edit** — the per-edit cost of a fixed, seeded `move_cell` mix
 //!   inside a row of 4,096 cells against the same mix inside a row of 256
 //!   cells, median of five rounds, both placements in this process. Blocked
@@ -41,12 +34,9 @@
 //! one means editing the table in a reviewed change, and
 //! `tests::gate_table_is_pinned` turns every such edit into a test diff.
 
-use cluster_sim::comm::WorkerPool;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use sime_core::allocation::{AllocationConfig, AllocationStrategy};
 use sime_core::engine::{SimEConfig, SimEEngine};
-use sime_core::parallel::EvalContext;
 use sime_core::profile::ProfileReport;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -56,12 +46,11 @@ use vlsi_place::cost::Objectives;
 use vlsi_place::kernel::{NetLengthCache, TrialScorer};
 use vlsi_place::layout::{Placement, Slot};
 
-/// A set of gates measured together and skipped together.
+/// A set of gates measured together.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Group {
     HeadToHead,
     BoundPruning,
-    PersistentEpoch,
     RowEdit,
 }
 
@@ -70,17 +59,7 @@ impl Group {
         match self {
             Group::HeadToHead => "head-to-head",
             Group::BoundPruning => "bound-pruning",
-            Group::PersistentEpoch => "persistent-epoch",
             Group::RowEdit => "row-edit",
-        }
-    }
-
-    /// Cores the group's bounds assume; on a smaller host the group is
-    /// skipped with a notice and not measured.
-    fn min_host_parallelism(self) -> usize {
-        match self {
-            Group::PersistentEpoch => 4,
-            Group::HeadToHead | Group::BoundPruning | Group::RowEdit => 1,
         }
     }
 
@@ -88,7 +67,6 @@ impl Group {
         match self {
             Group::HeadToHead => measure_head_to_head(),
             Group::BoundPruning => measure_bound_pruning(),
-            Group::PersistentEpoch => measure_persistent_epoch(),
             Group::RowEdit => measure_row_edit(),
         }
     }
@@ -125,9 +103,6 @@ const TRIAL_SCORING: &str = "head_to_head.trial_scoring_48slots.speedup";
 const FULL_NET_LENGTHS: &str = "head_to_head.full_net_lengths.speedup";
 const GOODNESS_PASS: &str = "head_to_head.goodness_pass.ratio_vs_naive_eval";
 const PRUNED_VS_LEGACY: &str = "windowed_serial_speedup_vs_legacy";
-const WINDOWED_4_CHUNKS: &str = "windowed_speedup_threaded4_vs_serial";
-const EXHAUSTIVE_2_CHUNKS: &str = "exhaustive_speedup_2_chunks_vs_serial";
-const EXHAUSTIVE_4_CHUNKS: &str = "exhaustive_speedup_4_chunks_vs_serial";
 const ROW_EDIT_SCALING: &str = "row_edit.per_edit_ratio_4096_vs_256";
 
 /// Ceiling of the row-edit scaling ratio: twice the highest ratio blocked
@@ -136,7 +111,7 @@ const ROW_EDIT_SCALING: &str = "row_edit.per_edit_ratio_4096_vs_256";
 const ROW_EDIT_CEILING: f64 = 5.0;
 
 /// Every gate, in the order it is checked and printed.
-const GATES: [Gate; 8] = [
+const GATES: [Gate; 5] = [
     Gate {
         group: Group::HeadToHead,
         metric: TRIAL_SCORING,
@@ -162,24 +137,6 @@ const GATES: [Gate; 8] = [
         bound: Bound::Floor(1.3),
     },
     Gate {
-        group: Group::PersistentEpoch,
-        metric: WINDOWED_4_CHUNKS,
-        config: "threaded(4,ev4) windowed iteration",
-        bound: Bound::Floor(2.0),
-    },
-    Gate {
-        group: Group::PersistentEpoch,
-        metric: EXHAUSTIVE_2_CHUNKS,
-        config: "threaded(4,ev2) exhaustive intra-rank path",
-        bound: Bound::Floor(1.0),
-    },
-    Gate {
-        group: Group::PersistentEpoch,
-        metric: EXHAUSTIVE_4_CHUNKS,
-        config: "threaded(4,ev4) exhaustive intra-rank path",
-        bound: Bound::Floor(1.0),
-    },
-    Gate {
         group: Group::RowEdit,
         metric: ROW_EDIT_SCALING,
         config: "seeded move_cell mix, 4,096- vs 256-cell row; gated on every core count",
@@ -197,8 +154,8 @@ struct Measured {
     bitwise_identical: Option<bool>,
 }
 
-/// The outcome of a gate evaluation: every line to print (PASS, FAIL and
-/// SKIP alike, in order) plus the counts the exit code derives from.
+/// The outcome of a gate evaluation: every line to print (PASS and FAIL
+/// alike, in order) plus the counts the exit code derives from.
 struct GateOutcome {
     lines: Vec<String>,
     checked: usize,
@@ -215,15 +172,10 @@ impl GateOutcome {
         self.failures += 1;
         self.lines.push(format!("  FAIL {line}"));
     }
-
-    fn skip(&mut self, line: String) {
-        self.lines.push(format!("  SKIP {line}"));
-    }
 }
 
 /// Checks `measured` against `gates` on a host with `host` cores. Groups
-/// are visited in table order; a group whose core requirement the host
-/// misses is skipped with one notice, and a gated metric absent from its
+/// are visited in table order, and a gated metric absent from its
 /// measurement fails, so the gate cannot silently shrink.
 fn evaluate(gates: &[Gate], measured: &[Measured], host: usize) -> GateOutcome {
     let mut outcome = GateOutcome {
@@ -239,16 +191,6 @@ fn evaluate(gates: &[Gate], measured: &[Measured], host: usize) -> GateOutcome {
     }
     for group in groups {
         let label = group.label();
-        let min = group.min_host_parallelism();
-        if host < min {
-            outcome.skip(format!(
-                "{label} floors: host_parallelism={host} (detected via \
-                 std::thread::available_parallelism) is below the {min} cores \
-                 the floors assume — a {host}-core host can only honestly \
-                 report ≈ 1×; run on a multi-core host to gate"
-            ));
-            continue;
-        }
         let measurement = measured.iter().find(|m| m.group == group);
         if measurement.and_then(|m| m.bitwise_identical) == Some(false) {
             outcome.fail(format!(
@@ -421,8 +363,8 @@ fn s15850() -> (Arc<vlsi_netlist::Netlist>, SimEConfig) {
     (Arc::new(circuit.generate()), config)
 }
 
-/// Best-of-`reps` wall time of `iters` SimE iterations under `ctx`, each rep
-/// replaying the same start (`initial`, RNG seed 7), plus the bits of the
+/// Best-of-`reps` wall time of `iters` SimE iterations, each rep replaying
+/// the same start (`initial`, RNG seed 7), plus the bits of the
 /// trajectory: every iteration's average goodness and selection size, then
 /// the final µ, wirelength and power.
 fn timed_run(
@@ -430,7 +372,6 @@ fn timed_run(
     initial: &Placement,
     iters: usize,
     reps: usize,
-    ctx: &EvalContext<'_>,
 ) -> (u128, Vec<u64>) {
     let mut best_ns = u128::MAX;
     let mut bits = Vec::new();
@@ -442,14 +383,13 @@ fn timed_run(
         bits.clear();
         let t0 = Instant::now();
         for _ in 0..iters {
-            let (avg, selected, _stats) = black_box(engine.iterate_on(
+            let (avg, selected, _stats) = black_box(engine.iterate(
                 &mut placement,
                 &mut scratch,
                 &mut rng,
                 &mut profile,
                 &[],
                 &[],
-                ctx,
             ));
             bits.push(avg.to_bits());
             bits.push(selected as u64);
@@ -478,56 +418,13 @@ fn measure_bound_pruning() -> Measured {
     let [(pruned_ns, pruned_bits), (legacy_ns, legacy_bits)] = [pruned, legacy].map(|config| {
         let engine = SimEEngine::new(Arc::clone(&netlist), config);
         let initial = engine.initial_placement(&mut ChaCha8Rng::seed_from_u64(1));
-        let (ns, bits) = timed_run(&engine, &initial, ITERS, REPS, &EvalContext::serial());
+        let (ns, bits) = timed_run(&engine, &initial, ITERS, REPS);
         (ns / ITERS as u128, bits)
     });
     Measured {
         group: Group::BoundPruning,
         values: vec![(PRUNED_VS_LEGACY, legacy_ns as f64 / pruned_ns.max(1) as f64)],
         bitwise_identical: Some(pruned_bits == legacy_bits),
-    }
-}
-
-/// One fused iteration, serial against a persistent 4-worker pool at 2 and
-/// 4 chunks, for the windowed and the exhaustive stride-8 allocation, best
-/// of 2 reps.
-fn measure_persistent_epoch() -> Measured {
-    const POOL_WORKERS: usize = 4;
-    const REPS: usize = 2;
-    let (netlist, windowed) = s15850();
-    let mut exhaustive = windowed;
-    exhaustive.allocation = AllocationConfig {
-        strategy: AllocationStrategy::SortedBestFit,
-        trial_stride: 8,
-        ..Default::default()
-    };
-    let pool = WorkerPool::new(POOL_WORKERS);
-    let mut values = Vec::new();
-    let mut bitwise_identical = true;
-    for (config, gated) in [
-        (windowed, [None, Some(WINDOWED_4_CHUNKS)]),
-        (
-            exhaustive,
-            [Some(EXHAUSTIVE_2_CHUNKS), Some(EXHAUSTIVE_4_CHUNKS)],
-        ),
-    ] {
-        let engine = SimEEngine::new(Arc::clone(&netlist), config);
-        let initial = engine.initial_placement(&mut ChaCha8Rng::seed_from_u64(1));
-        let (serial_ns, serial_bits) =
-            timed_run(&engine, &initial, 1, REPS, &EvalContext::serial());
-        for (chunks, metric) in [2, 4].into_iter().zip(gated) {
-            let ctx = EvalContext::chunked(&pool, chunks);
-            let (ns, bits) = timed_run(&engine, &initial, 1, REPS, &ctx);
-            bitwise_identical &= bits == serial_bits;
-            if let Some(metric) = metric {
-                values.push((metric, serial_ns as f64 / ns.max(1) as f64));
-            }
-        }
-    }
-    Measured {
-        group: Group::PersistentEpoch,
-        values,
-        bitwise_identical: Some(bitwise_identical),
     }
 }
 
@@ -584,17 +481,9 @@ fn measure_row_edit() -> Measured {
 fn main() {
     let host = std::thread::available_parallelism().map_or(1, usize::from);
     println!("perf guard: {} gates, host_parallelism={host}", GATES.len());
-    let mut measured = Vec::new();
-    for group in [
-        Group::HeadToHead,
-        Group::BoundPruning,
-        Group::PersistentEpoch,
-        Group::RowEdit,
-    ] {
-        if host >= group.min_host_parallelism() {
-            measured.push(group.measure());
-        }
-    }
+    let measured: Vec<Measured> = [Group::HeadToHead, Group::BoundPruning, Group::RowEdit]
+        .map(Group::measure)
+        .into();
     let outcome = evaluate(&GATES, &measured, host);
     for line in &outcome.lines {
         if line.trim_start().starts_with("FAIL") {
@@ -625,18 +514,6 @@ mod tests {
         GATES.into_iter().filter(|g| g.group == group).collect()
     }
 
-    fn epoch(windowed: f64, ev2: f64, ev4: f64) -> Measured {
-        Measured {
-            group: Group::PersistentEpoch,
-            values: vec![
-                (WINDOWED_4_CHUNKS, windowed),
-                (EXHAUSTIVE_2_CHUNKS, ev2),
-                (EXHAUSTIVE_4_CHUNKS, ev4),
-            ],
-            bitwise_identical: Some(true),
-        }
-    }
-
     fn pruning(speedup: f64) -> Measured {
         Measured {
             group: Group::BoundPruning,
@@ -655,18 +532,11 @@ mod tests {
                 (FULL_NET_LENGTHS, Bound::AtLeastBaseline(1.79)),
                 (GOODNESS_PASS, Bound::AtMostBaseline(0.200)),
                 (PRUNED_VS_LEGACY, Bound::Floor(1.3)),
-                (WINDOWED_4_CHUNKS, Bound::Floor(2.0)),
-                (EXHAUSTIVE_2_CHUNKS, Bound::Floor(1.0)),
-                (EXHAUSTIVE_4_CHUNKS, Bound::Floor(1.0)),
                 (ROW_EDIT_SCALING, Bound::Ceiling(ROW_EDIT_CEILING)),
             ]
         );
         assert_eq!(ROW_EDIT_CEILING, 5.0);
         assert_eq!(BASELINE_TOLERANCE, 0.25);
-        assert_eq!(Group::HeadToHead.min_host_parallelism(), 1);
-        assert_eq!(Group::BoundPruning.min_host_parallelism(), 1);
-        assert_eq!(Group::PersistentEpoch.min_host_parallelism(), 4);
-        assert_eq!(Group::RowEdit.min_host_parallelism(), 1);
     }
 
     fn row_edit(ratio: f64) -> Measured {
@@ -691,84 +561,6 @@ mod tests {
                 && fail.contains("15.80x")
                 && fail.contains("5.00x ceiling"),
             "{fail}"
-        );
-    }
-
-    #[test]
-    fn pr6_gate_passes_on_a_fast_multicore_report() {
-        let outcome = evaluate(&gates(Group::PersistentEpoch), &[epoch(2.4, 1.3, 1.9)], 8);
-        assert_eq!(outcome.failures, 0);
-        assert_eq!(outcome.checked, 3);
-        assert!(outcome.lines.iter().all(|l| l.contains("PASS")));
-    }
-
-    #[test]
-    fn pr6_gate_skips_with_notice_below_four_cores() {
-        // Below four cores the group is skipped even without a measurement.
-        let outcome = evaluate(&gates(Group::PersistentEpoch), &[], 1);
-        assert_eq!(outcome.failures, 0, "a 1-core host must not fail the gate");
-        assert_eq!(outcome.checked, 0);
-        assert_eq!(outcome.lines.len(), 1);
-        let notice = &outcome.lines[0];
-        assert!(notice.contains("SKIP"), "{notice}");
-        assert!(
-            notice.contains("host_parallelism=1"),
-            "the notice must name the host parallelism: {notice}"
-        );
-        assert!(
-            notice.contains("std::thread::available_parallelism"),
-            "the notice must name where the core count came from: {notice}"
-        );
-    }
-
-    #[test]
-    fn pr6_failure_messages_name_host_config_and_ratio_pair() {
-        let outcome = evaluate(&gates(Group::PersistentEpoch), &[epoch(1.37, 1.3, 0.84)], 8);
-        assert_eq!(outcome.failures, 2);
-        assert_eq!(outcome.checked, 1);
-        let windowed = outcome
-            .lines
-            .iter()
-            .find(|l| l.contains(WINDOWED_4_CHUNKS))
-            .unwrap();
-        assert!(windowed.contains("FAIL"), "{windowed}");
-        assert!(
-            windowed.contains("host_parallelism=8"),
-            "failure must name the host parallelism: {windowed}"
-        );
-        assert!(
-            windowed.contains("threaded(4,ev4)"),
-            "failure must name the worker/chunk config: {windowed}"
-        );
-        assert!(
-            windowed.contains("1.37x") && windowed.contains("2.00x"),
-            "failure must show the achieved-vs-required ratio pair: {windowed}"
-        );
-        let ev4 = outcome
-            .lines
-            .iter()
-            .find(|l| l.contains(EXHAUSTIVE_4_CHUNKS))
-            .unwrap();
-        assert!(
-            ev4.contains("FAIL") && ev4.contains("0.84x") && ev4.contains("1.00x"),
-            "{ev4}"
-        );
-    }
-
-    #[test]
-    fn pr6_gate_fails_on_a_bitwise_mismatch() {
-        let mut measured = epoch(2.4, 1.3, 1.9);
-        measured.bitwise_identical = Some(false);
-        let outcome = evaluate(&gates(Group::PersistentEpoch), &[measured], 8);
-        assert!(outcome.failures >= 1);
-        let line = outcome
-            .lines
-            .iter()
-            .find(|l| l.contains("bitwise_identical_across_configs"))
-            .unwrap();
-        assert!(
-            line.contains("FAIL") && line.contains("determinism"),
-            "{line}"
         );
     }
 

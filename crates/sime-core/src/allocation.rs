@@ -18,29 +18,14 @@
 //! the ablation study (experiment E6 in `DESIGN.md`) and as building blocks
 //! for the search-diversification ideas discussed in Section 7 of the paper.
 
-use crate::parallel::{chunk_ranges, EvalContext};
+use crate::parallel::EvalContext;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 use vlsi_netlist::CellId;
 use vlsi_place::cost::CostEvaluator;
-use vlsi_place::kernel::{PreparedCell, PreparedSummaries, TrialScorer};
+use vlsi_place::kernel::TrialScorer;
 use vlsi_place::layout::{Placement, Slot};
-
-/// Minimum candidate count before the trial-scoring loop fans out across
-/// the worker pool: below this, the per-task dispatch overhead exceeds the
-/// scoring work (the default windowed search examines ~48 slots and stays
-/// serial; the exhaustive extended-tier searches examine thousands and
-/// parallelise well).
-const PARALLEL_TRIAL_THRESHOLD: usize = 256;
-
-/// Cells prepared per parallel wave, as a multiple of the context's chunk
-/// count. The wave must be long enough to amortise one epoch of dispatch
-/// overhead over many `prepare_cell` passes, but short enough that few
-/// snapshots go stale (a snapshot is discarded when a net neighbour's row
-/// received an insertion after the wave was prepared).
-const PREPARE_WAVE_FACTOR: usize = 8;
 
 /// Reusable buffers for the allocation operator. Everything the former
 /// implementation allocated per cell (candidate lists, row orderings, the
@@ -63,12 +48,6 @@ pub struct AllocScratch {
     ys: Vec<f64>,
     /// Rows ordered by distance from the optimal y (windowed search).
     rows_by_distance: Vec<usize>,
-    /// Per-cell snapshot buffers for the parallel prepare wave of
-    /// [`allocate_all_on`] (reused across waves and calls).
-    prepared_cells: Vec<PreparedCell>,
-    /// Step counter of the last insertion into each row within the current
-    /// allocation pass (wave staleness tracking).
-    row_step: Vec<u64>,
     /// Per-row counting scratch for the summary-derived y median of the
     /// pruned windowed search (left all-zero between uses).
     row_merge: Vec<u32>,
@@ -86,8 +65,6 @@ impl AllocScratch {
             xs: Vec::new(),
             ys: Vec::new(),
             rows_by_distance: Vec::new(),
-            prepared_cells: Vec::new(),
-            row_step: Vec::new(),
             row_merge: Vec::new(),
             row_dist: Vec::new(),
         }
@@ -236,52 +213,14 @@ pub fn allocate_cell<R: Rng + ?Sized>(
     allowed_rows: &[usize],
     rng: &mut R,
 ) -> AllocationStats {
-    allocate_cell_on(
-        evaluator,
-        scratch,
-        placement,
-        cell,
-        config,
-        allowed_rows,
-        rng,
-        &EvalContext::serial(),
-    )
-}
-
-/// [`allocate_cell`] under an explicit [`EvalContext`]: with a chunked
-/// context and enough candidate slots, the trial-scoring loop fans out over
-/// the context's worker pool in index-contiguous chunks. Each chunk scans its
-/// slots in index order with the serial strictly-less comparison and reports
-/// its local best; the chunk-ordered merge then keeps the earliest strict
-/// winner, which reproduces the serial left-to-right argmin — and therefore
-/// the chosen slot, the resulting placement and the work counts — bitwise for
-/// any chunk count. [`AllocationStrategy::FirstFit`] always runs serially
-/// (its early exit depends on scan order).
-#[allow(clippy::too_many_arguments)]
-pub fn allocate_cell_on<R: Rng + ?Sized>(
-    evaluator: &CostEvaluator,
-    scratch: &mut AllocScratch,
-    placement: &mut Placement,
-    cell: CellId,
-    config: &AllocationConfig,
-    allowed_rows: &[usize],
-    rng: &mut R,
-    ctx: &EvalContext<'_>,
-) -> AllocationStats {
     scratch.fill_rows(placement, allowed_rows);
-    allocate_cell_inner(evaluator, scratch, placement, cell, config, rng, ctx, None)
+    allocate_cell_inner(evaluator, scratch, placement, cell, config, rng)
 }
 
-/// The shared body of [`allocate_cell_on`] and the wave path of
-/// [`allocate_all_on`]. When `snapshot` is `Some`, the cell's per-net
-/// summaries were already built (on a worker thread, against the exact
-/// placement state this call observes — the caller is responsible for
-/// staleness) and trial slots are scored through the snapshot instead of
-/// re-running `prepare_cell`; the scores are bitwise identical either way.
-/// The target rows come from `scratch.rows`, which the caller fills (once
-/// per pass in [`allocate_all_on`]: the allowed rows are the same for every
-/// cell of the pass).
-#[allow(clippy::too_many_arguments)]
+/// The shared body of [`allocate_cell`] and [`allocate_all`]. The target
+/// rows come from `scratch.rows`, which the caller fills (once per pass in
+/// [`allocate_all`]: the allowed rows are the same for every cell of the
+/// pass).
 fn allocate_cell_inner<R: Rng + ?Sized>(
     evaluator: &CostEvaluator,
     scratch: &mut AllocScratch,
@@ -289,26 +228,21 @@ fn allocate_cell_inner<R: Rng + ?Sized>(
     cell: CellId,
     config: &AllocationConfig,
     rng: &mut R,
-    ctx: &EvalContext<'_>,
-    snapshot: Option<&PreparedCell>,
 ) -> AllocationStats {
     let nets_of_cell = evaluator.netlist().nets_of_cell(cell).len();
     let stride = config.trial_stride.max(1);
 
     // One pass over the cell's pins up front; every candidate slot below is
-    // then scored from the per-net summaries in O(distinct rows). A wave
-    // snapshot already holds those summaries, bit for bit. The pass runs
-    // before candidate enumeration because the pruned windowed search derives
-    // its optimal position from the same summaries instead of re-walking the
-    // CSR.
-    if snapshot.is_none() {
-        scratch.scorer.prepare_cell(evaluator, placement, cell);
-    }
+    // then scored from the per-net summaries in O(distinct rows). The pass
+    // runs before candidate enumeration because the pruned windowed search
+    // derives its optimal position from the same summaries instead of
+    // re-walking the CSR.
+    scratch.scorer.prepare_cell(evaluator, placement, cell);
 
     // Enumerate candidate slots according to the strategy.
     scratch.candidates.clear();
     if config.strategy == AllocationStrategy::WindowedBestFit {
-        windowed_candidates(evaluator, placement, cell, config, scratch, snapshot);
+        windowed_candidates(evaluator, placement, cell, config, scratch);
     } else {
         for r in 0..scratch.rows.len() {
             let row = scratch.rows[r];
@@ -340,68 +274,14 @@ fn allocate_cell_inner<R: Rng + ?Sized>(
         net_evaluations: 0,
     };
 
-    let mut best_slot = None;
-    let mut best_score = f64::INFINITY;
-    // Pruning is sound for every strategy; the convex early row exit
-    // additionally needs candidates sorted by x within a row run, which the
-    // shuffled RandomWindow list does not provide.
-    let prune = config.bound_pruning;
-    let sorted_runs = config.strategy != AllocationStrategy::RandomWindow;
-    let fan_out = match ctx.fan_out() {
-        Some((pool, chunks))
-            if config.strategy != AllocationStrategy::FirstFit
-                && scratch.candidates.len() >= PARALLEL_TRIAL_THRESHOLD.max(2 * chunks) =>
-        {
-            Some((pool, chunks))
-        }
-        _ => None,
-    };
-    if let Some((pool, chunks)) = fan_out {
-        // Chunked scan: candidates are full-scanned either way (no FirstFit
-        // early exit), so the work counts equal the serial loop's exactly.
-        let scorer = &scratch.scorer;
-        let candidates = &scratch.candidates;
-        let placement = &*placement;
-        let tasks: Vec<Box<dyn FnOnce() -> (f64, usize) + Send + '_>> =
-            chunk_ranges(candidates.len(), chunks)
-                .into_iter()
-                .map(|range| {
-                    Box::new(move || {
-                        scan_candidates(
-                            evaluator,
-                            placement,
-                            cell,
-                            scorer,
-                            snapshot,
-                            candidates,
-                            range,
-                            prune,
-                            sorted_runs,
-                        )
-                    }) as Box<dyn FnOnce() -> (f64, usize) + Send + '_>
-                })
-                .collect();
-        // Chunk-ordered merge with the same strictly-less rule as the serial
-        // scan: the earliest index achieving the global minimum wins.
-        for (score, index) in pool.run_scoped_tasks(tasks) {
-            if index != usize::MAX && score < best_score {
-                best_score = score;
-                best_slot = Some(candidates[index]);
-            }
-        }
-        stats.trial_positions += candidates.len();
-        stats.net_evaluations += candidates.len() * nets_of_cell;
-    } else if config.strategy == AllocationStrategy::FirstFit {
+    let best_slot = if config.strategy == AllocationStrategy::FirstFit {
         // First fit scans unpruned: its early exit depends on *scoring* each
         // slot in order, and its work count reflects where it stopped.
-        for i in 0..scratch.candidates.len() {
-            let slot = scratch.candidates[i];
+        let mut best_slot = None;
+        let mut best_score = f64::INFINITY;
+        for &slot in &scratch.candidates {
             let pos = placement.trial_position(cell, slot);
-            let cost = match snapshot {
-                Some(prepared) => prepared.cost_at(pos),
-                None => scratch.scorer.prepared_cost_at(pos),
-            };
-            let score = evaluator.allocation_score(&cost);
+            let score = evaluator.allocation_score(&scratch.scorer.prepared_cost_at(pos));
             stats.trial_positions += 1;
             stats.net_evaluations += nets_of_cell;
             let better = score < best_score;
@@ -414,28 +294,28 @@ fn allocate_cell_inner<R: Rng + ?Sized>(
                 break;
             }
         }
+        best_slot
     } else {
-        let (_, index) = scan_candidates(
+        // Pruning is sound for every strategy; the convex early row exit
+        // additionally needs candidates sorted by x within a row run, which
+        // the shuffled RandomWindow list does not provide.
+        let best = scan_candidates(
             evaluator,
             placement,
             cell,
             &scratch.scorer,
-            snapshot,
             &scratch.candidates,
-            0..scratch.candidates.len(),
-            prune,
-            sorted_runs,
+            config.bound_pruning,
+            config.strategy != AllocationStrategy::RandomWindow,
         );
-        if index != usize::MAX {
-            best_slot = Some(scratch.candidates[index]);
-        }
         // The nominal work counts charge the full candidate list whether or
         // not the bound pruned individual scores: they feed the modeled
         // cluster time and the cross-config stats-equality tests, and the
         // *algorithmic* work of the strategy is unchanged.
         stats.trial_positions += scratch.candidates.len();
         stats.net_evaluations += scratch.candidates.len() * nets_of_cell;
-    }
+        best.map(|index| scratch.candidates[index])
+    };
 
     let slot = best_slot.unwrap_or(Slot {
         row: scratch.rows[0],
@@ -445,10 +325,9 @@ fn allocate_cell_inner<R: Rng + ?Sized>(
     stats
 }
 
-/// Scans `candidates[range]` with the serial strictly-less argmin and returns
-/// `(best_score, best_index)` (`usize::MAX` when nothing was scored). The
-/// shared scan of the serial non-FirstFit path and each chunk of the trial
-/// fan-out.
+/// Scans `candidates` with the strictly-less argmin and returns the index of
+/// the first best-scoring candidate (`None` when nothing was scored): the
+/// scan of every strategy but [`AllocationStrategy::FirstFit`].
 ///
 /// With `prune` set, the scan walks the list as contiguous same-row runs:
 ///
@@ -474,42 +353,31 @@ fn allocate_cell_inner<R: Rng + ?Sized>(
 /// cross-checked bit-for-bit against the full score and every skipped
 /// candidate is fully scored and checked against the value it was skipped
 /// for (the always-on oracle of the differential tests).
-#[allow(clippy::too_many_arguments)]
 fn scan_candidates(
     evaluator: &CostEvaluator,
     placement: &Placement,
     cell: CellId,
     scorer: &TrialScorer,
-    snapshot: Option<&PreparedCell>,
     candidates: &[Slot],
-    range: Range<usize>,
     prune: bool,
     sorted_runs: bool,
-) -> (f64, usize) {
-    let score_at = |pos: (f64, f64)| -> f64 {
-        let cost = match snapshot {
-            Some(prepared) => prepared.cost_at(pos),
-            None => scorer.prepared_cost_at(pos),
-        };
-        evaluator.allocation_score(&cost)
-    };
+) -> Option<usize> {
+    let score_at =
+        |pos: (f64, f64)| -> f64 { evaluator.allocation_score(&scorer.prepared_cost_at(pos)) };
     let mut best_score = f64::INFINITY;
-    let mut best_index = usize::MAX;
+    let mut best_index = None;
     if !prune {
-        for i in range {
-            let score = score_at(placement.trial_position(cell, candidates[i]));
+        for (i, &candidate) in candidates.iter().enumerate() {
+            let score = score_at(placement.trial_position(cell, candidate));
             if score < best_score {
                 best_score = score;
-                best_index = i;
+                best_index = Some(i);
             }
         }
-        return (best_score, best_index);
+        return best_index;
     }
 
-    let view: PreparedSummaries<'_> = match snapshot {
-        Some(prepared) => prepared.summaries(),
-        None => scorer.prepared_summaries(),
-    };
+    let view = scorer.prepared_summaries();
     // Debug oracle: a pruned candidate must score at least its bound and
     // must not beat the best score it was pruned against.
     #[cfg(debug_assertions)]
@@ -523,11 +391,11 @@ fn scan_candidates(
     };
     let max_other_x = view.max_other_x();
     let mut vertical: Vec<f64> = Vec::new();
-    let mut i = range.start;
-    while i < range.end {
+    let mut i = 0;
+    while i < candidates.len() {
         let row = candidates[i].row;
         let mut run_end = i + 1;
-        while run_end < range.end && candidates[run_end].row == row {
+        while run_end < candidates.len() && candidates[run_end].row == row {
             run_end += 1;
         }
         let floor = evaluator.allocation_score(&view.bound_floor(row as u32));
@@ -551,7 +419,7 @@ fn scan_candidates(
             );
             if score < best_score {
                 best_score = score;
-                best_index = j;
+                best_index = Some(j);
             }
             if sorted_runs && pos.0 >= max_other_x {
                 // Monotone tail: every remaining candidate of the run sits
@@ -567,7 +435,7 @@ fn scan_candidates(
         }
         i = run_end;
     }
-    (best_score, best_index)
+    best_index
 }
 
 /// Candidate slots for [`AllocationStrategy::WindowedBestFit`]: the cell's
@@ -589,7 +457,6 @@ fn windowed_candidates(
     cell: CellId,
     config: &AllocationConfig,
     scratch: &mut AllocScratch,
-    snapshot: Option<&PreparedCell>,
 ) {
     let netlist = evaluator.netlist();
     let keep_rows = config.best_fit_rows.max(1);
@@ -607,11 +474,9 @@ fn windowed_candidates(
     } = scratch;
 
     let (opt_x, opt_y) = if config.bound_pruning {
-        let view = match snapshot {
-            Some(prepared) => prepared.summaries(),
-            None => scorer.prepared_summaries(),
-        };
-        view.median_position(xs, row_merge)
+        scorer
+            .prepared_summaries()
+            .median_position(xs, row_merge)
             .unwrap_or_else(|| placement.position(cell))
     } else {
         // Legacy gather: median of connected-cell coordinates via sort.
@@ -774,34 +639,23 @@ pub fn allocate_all<R: Rng + ?Sized>(
     allowed_rows: &[usize],
     rng: &mut R,
 ) -> AllocationStats {
-    allocate_all_on(
-        evaluator,
-        scratch,
-        placement,
-        selected,
-        goodness,
-        config,
-        allowed_rows,
-        rng,
-        &EvalContext::serial(),
-    )
+    sort_selection(selected, goodness);
+    // Rip up all selected cells first: allocation operates on the partial
+    // solution, exactly as in Figure 1 of the paper.
+    for &cell in selected.iter() {
+        placement.remove_cell(cell);
+    }
+    scratch.fill_rows(placement, allowed_rows);
+    let mut stats = AllocationStats::default();
+    for &cell in selected.iter() {
+        stats.merge(&allocate_cell_inner(
+            evaluator, scratch, placement, cell, config, rng,
+        ));
+    }
+    stats
 }
 
-/// [`allocate_all`] under an explicit [`EvalContext`] — the cells are still
-/// re-inserted strictly one at a time (allocation is inherently sequential:
-/// every insertion changes the partial solution the next cell scores
-/// against); the context parallelises each cell's *trial-scoring* loop via
-/// [`allocate_cell_on`], and — for the default windowed strategy, whose
-/// ~48-slot candidate list never reaches the trial fan-out threshold — the
-/// `prepare_cell` summary passes of whole *waves* of upcoming cells, both of
-/// which are bitwise-neutral.
-///
-/// The wave path is safe because a snapshot prepared at step `s` is only
-/// consumed if no net neighbour of its cell currently sits in a row that
-/// received an insertion after `s` (rows are re-packed on insertion, so an
-/// insertion may move every pin in its row); stale snapshots are discarded
-/// and the cell re-prepared serially, which is what the serial path does for
-/// every cell anyway.
+/// Forwards to [`allocate_all`]; the context has no effect.
 #[allow(clippy::too_many_arguments)]
 pub fn allocate_all_on<R: Rng + ?Sized>(
     evaluator: &CostEvaluator,
@@ -812,118 +666,18 @@ pub fn allocate_all_on<R: Rng + ?Sized>(
     config: &AllocationConfig,
     allowed_rows: &[usize],
     rng: &mut R,
-    ctx: &EvalContext<'_>,
+    _ctx: &EvalContext<'_>,
 ) -> AllocationStats {
-    sort_selection(selected, goodness);
-    // Rip up all selected cells first: allocation operates on the partial
-    // solution, exactly as in Figure 1 of the paper.
-    for &cell in selected.iter() {
-        placement.remove_cell(cell);
-    }
-    scratch.fill_rows(placement, allowed_rows);
-    let mut stats = AllocationStats::default();
-    let wave = match ctx.fan_out() {
-        // Waves only pay off where the per-cell trial loop stays serial; the
-        // exhaustive strategies already fan out per cell, and FirstFit /
-        // RandomWindow are rng- or order-sensitive enough to keep simple.
-        Some((pool, chunks))
-            if config.strategy == AllocationStrategy::WindowedBestFit
-                && selected.len() >= 2 * chunks =>
-        {
-            Some((pool, chunks))
-        }
-        _ => None,
-    };
-    if let Some((pool, chunks)) = wave {
-        let wave_len = (chunks * PREPARE_WAVE_FACTOR).min(selected.len());
-        let mut prepared = std::mem::take(&mut scratch.prepared_cells);
-        if prepared.len() < wave_len {
-            prepared.resize_with(wave_len, PreparedCell::new);
-        }
-        scratch.row_step.clear();
-        scratch.row_step.resize(placement.num_rows(), 0);
-        let mut row_step = std::mem::take(&mut scratch.row_step);
-        let model = evaluator.wirelength_model();
-        let mut step: u64 = 0;
-        let mut start = 0;
-        while start < selected.len() {
-            let end = (start + wave_len).min(selected.len());
-            let wave_cells = &selected[start..end];
-            let wave_step = step;
-            // Fan the summary passes of the whole wave out over the pool.
-            // Every selected cell is ripped up and the placement is immutable
-            // for the duration of the epoch, so each snapshot is built against
-            // exactly the state the serial path would observe at `wave_step`.
-            {
-                let placement = &*placement;
-                let mut rest = &mut prepared[..wave_cells.len()];
-                let mut at = 0;
-                let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-                for range in chunk_ranges(wave_cells.len(), chunks) {
-                    let (bufs, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
-                    rest = tail;
-                    let cells = &wave_cells[at..at + range.len()];
-                    at += range.len();
-                    tasks.push(Box::new(move || {
-                        for (buf, &cell) in bufs.iter_mut().zip(cells) {
-                            buf.prepare(evaluator, placement, cell, model);
-                        }
-                    }));
-                }
-                pool.run_scoped_tasks(tasks);
-            }
-            for (i, &cell) in wave_cells.iter().enumerate() {
-                let fresh = snapshot_is_fresh(evaluator, placement, cell, &row_step, wave_step);
-                let s = allocate_cell_inner(
-                    evaluator,
-                    scratch,
-                    placement,
-                    cell,
-                    config,
-                    rng,
-                    ctx,
-                    fresh.then_some(&prepared[i]),
-                );
-                stats.merge(&s);
-                step += 1;
-                row_step[placement.row_of(cell)] = step;
-            }
-            start = end;
-        }
-        scratch.prepared_cells = prepared;
-        scratch.row_step = row_step;
-    } else {
-        for &cell in selected.iter() {
-            let s =
-                allocate_cell_inner(evaluator, scratch, placement, cell, config, rng, ctx, None);
-            stats.merge(&s);
-        }
-    }
-    stats
-}
-
-/// `true` when a wave snapshot prepared at `wave_step` is still bitwise
-/// exact for `cell`: none of its net neighbours sits in a row that received
-/// an insertion after the wave was prepared. Insertions re-pack their
-/// destination row, so this row-granular check conservatively covers both a
-/// neighbour being re-inserted *and* a neighbour being shifted by someone
-/// else's insertion. Still-ripped-up neighbours keep their last coordinates
-/// (exactly what the snapshot and a fresh serial prepare would both see);
-/// their stale row assignment can only cause a false *re-prepare*, never a
-/// false acceptance.
-fn snapshot_is_fresh(
-    evaluator: &CostEvaluator,
-    placement: &Placement,
-    cell: CellId,
-    row_step: &[u64],
-    wave_step: u64,
-) -> bool {
-    evaluator.netlist().nets_of_cell(cell).iter().all(|&net| {
-        evaluator
-            .net_cells(net)
-            .iter()
-            .all(|&nb| nb == cell || row_step[placement.row_of(nb)] <= wave_step)
-    })
+    allocate_all(
+        evaluator,
+        scratch,
+        placement,
+        selected,
+        goodness,
+        config,
+        allowed_rows,
+        rng,
+    )
 }
 
 #[cfg(test)]
@@ -1185,121 +939,6 @@ mod tests {
             );
             assert_eq!(clean.net_evaluations, dup.net_evaluations);
             assert_eq!(slot_clean, slot_dup, "{strategy:?}: same best slot");
-        }
-    }
-
-    #[test]
-    fn chunked_trial_scoring_is_bitwise_serial() {
-        // The intra-rank fan-out may only change *where* slots are scored:
-        // the chosen slots, the resulting placement and the work counts must
-        // equal the serial scan for every chunk count. Exhaustive best fit on
-        // a single-row layout gives a candidate list long past the fan-out
-        // threshold with a small circuit.
-        use cluster_sim::comm::WorkerPool;
-        let nl = Arc::new(
-            CircuitGenerator::new(GeneratorConfig::sized("alloc_par_test", 400, 19)).generate(),
-        );
-        let eval = CostEvaluator::new(Arc::clone(&nl), Objectives::WirelengthPower);
-        let ge = GoodnessEvaluator::new(eval.clone());
-        let placement = Placement::round_robin(&nl, 2);
-        let goodness = ge.all_goodness(&placement);
-        let config = AllocationConfig::exhaustive();
-
-        let run = |ctx: &EvalContext<'_>| {
-            let mut p = placement.clone();
-            let mut selected: Vec<CellId> = nl.cell_ids().take(12).collect();
-            let mut rng = ChaCha8Rng::seed_from_u64(9);
-            let stats = allocate_all_on(
-                &eval,
-                &mut AllocScratch::for_evaluator(&eval),
-                &mut p,
-                &mut selected,
-                &goodness,
-                &config,
-                &[],
-                &mut rng,
-                ctx,
-            );
-            (stats, p)
-        };
-
-        let (serial_stats, serial_placement) = run(&EvalContext::serial());
-        assert!(
-            serial_stats.trial_positions / serial_stats.cells_allocated >= PARALLEL_TRIAL_THRESHOLD,
-            "test must exercise the fan-out path"
-        );
-        let pool = WorkerPool::new(2);
-        for chunks in [2usize, 3, 4, 7] {
-            let (stats, p) = run(&EvalContext::chunked(&pool, chunks));
-            assert_eq!(
-                serial_stats, stats,
-                "chunks={chunks}: work counts must match"
-            );
-            for row in 0..p.num_rows() {
-                assert_eq!(
-                    serial_placement.row(row),
-                    p.row(row),
-                    "chunks={chunks}: placement must be bitwise serial"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn wave_prepared_windowed_allocation_is_bitwise_serial() {
-        // The default windowed strategy never reaches the per-cell trial
-        // fan-out threshold, so under a chunked context `allocate_all_on`
-        // prepares whole waves of cells in parallel instead. The chosen
-        // slots, the resulting placement and the work counts must equal the
-        // serial pass bitwise for every worker/chunk combination — stale
-        // snapshots (cells whose neighbourhood changed mid-wave) must be
-        // silently re-prepared, never mis-scored.
-        use cluster_sim::comm::WorkerPool;
-        let nl = Arc::new(
-            CircuitGenerator::new(GeneratorConfig::sized("alloc_wave_test", 300, 23)).generate(),
-        );
-        let eval = CostEvaluator::new(Arc::clone(&nl), Objectives::WirelengthPower);
-        let ge = GoodnessEvaluator::new(eval.clone());
-        let placement = Placement::round_robin(&nl, 6);
-        let goodness = ge.all_goodness(&placement);
-        let config = AllocationConfig::default();
-
-        let run = |ctx: &EvalContext<'_>| {
-            let mut p = placement.clone();
-            // A dense selection set maximises mid-wave staleness: many
-            // selected cells share nets, so later wave members are invalidated
-            // by earlier insertions.
-            let mut selected: Vec<CellId> = nl.cell_ids().take(120).collect();
-            let mut rng = ChaCha8Rng::seed_from_u64(10);
-            let stats = allocate_all_on(
-                &eval,
-                &mut AllocScratch::for_evaluator(&eval),
-                &mut p,
-                &mut selected,
-                &goodness,
-                &config,
-                &[],
-                &mut rng,
-                ctx,
-            );
-            (stats, p)
-        };
-
-        let (serial_stats, serial_placement) = run(&EvalContext::serial());
-        for (workers, chunks) in [(1usize, 2usize), (2, 2), (2, 3), (4, 4), (2, 7)] {
-            let pool = WorkerPool::new(workers);
-            let (stats, p) = run(&EvalContext::chunked(&pool, chunks));
-            assert_eq!(
-                serial_stats, stats,
-                "workers={workers} chunks={chunks}: work counts must match"
-            );
-            for row in 0..p.num_rows() {
-                assert_eq!(
-                    serial_placement.row(row),
-                    p.row(row),
-                    "workers={workers} chunks={chunks}: placement must be bitwise serial"
-                );
-            }
         }
     }
 

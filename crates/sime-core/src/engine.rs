@@ -1,7 +1,7 @@
 //! The SimE main loop (Figure 1 of the paper).
 
-use crate::allocation::{allocate_all_on, AllocScratch, AllocationConfig, AllocationStats};
-use crate::parallel::{chunk_ranges, EvalContext};
+use crate::allocation::{allocate_all, AllocScratch, AllocationConfig, AllocationStats};
+use crate::parallel::EvalContext;
 use crate::profile::{Phase, ProfileReport};
 use crate::selection::{select, SelectionScheme};
 use rand::{Rng, SeedableRng};
@@ -12,19 +12,8 @@ use std::time::Instant;
 use vlsi_netlist::{CellId, NetId, Netlist};
 use vlsi_place::cost::{CostBreakdown, CostEvaluator, Objectives};
 use vlsi_place::goodness::GoodnessEvaluator;
-use vlsi_place::kernel::{NetLengthCache, TrialScorer};
+use vlsi_place::kernel::NetLengthCache;
 use vlsi_place::layout::Placement;
-
-/// Minimum number of dirty nets before the net-length refresh fans out over
-/// the worker pool: a typical delta pass touches a handful of rows and is
-/// cheaper serial, while the full refresh of a fresh placement (every net)
-/// and the wide delta after an allocation pass parallelise well.
-const PARALLEL_REFRESH_THRESHOLD: usize = 64;
-
-/// Minimum number of invalidated cells before the incremental goodness
-/// recompute fans out over the worker pool; below this the per-cell pass is
-/// cheaper serial.
-const PARALLEL_GOODNESS_THRESHOLD: usize = 64;
 
 /// Per-worker mutable state of a SimE run: the allocation scratch buffers
 /// (including the allocation-free [`vlsi_place::kernel::TrialScorer`]) and
@@ -45,16 +34,6 @@ pub struct SimEScratch {
     pub cache: NetLengthCache,
     /// Reused per-cell goodness buffer.
     goodness: Vec<f64>,
-    /// Per-chunk goodness output buffers of the intra-rank parallel
-    /// Evaluation path ([`SimEEngine::evaluate_goodness_on`]): one buffer per
-    /// chunk, reused across iterations so the chunked pass stays
-    /// allocation-free after warm-up.
-    chunk_goodness: Vec<Vec<f64>>,
-    /// Per-chunk trial scorers for the parallel net-length refresh (each
-    /// worker task needs its own pin/sort buffers).
-    chunk_scorers: Vec<TrialScorer>,
-    /// Per-chunk net-length output buffers of the parallel refresh.
-    chunk_lengths: Vec<Vec<f64>>,
     /// Dirty-net plan buffer of the split refresh.
     dirty_nets: Vec<NetId>,
     /// Whether `goodness` holds the per-cell values for the cache's current
@@ -87,9 +66,6 @@ impl SimEScratch {
             alloc: AllocScratch::for_evaluator(engine.evaluator()),
             cache: NetLengthCache::new(),
             goodness: Vec::new(),
-            chunk_goodness: Vec::new(),
-            chunk_scorers: Vec::new(),
-            chunk_lengths: Vec::new(),
             dirty_nets: Vec::new(),
             goodness_valid: false,
             pending_cells: Vec::new(),
@@ -418,42 +394,24 @@ impl SimEEngine {
     /// counts model the algorithm's nominal workload, which is what the
     /// cluster simulation prices — so modeled runtimes are unaffected by the
     /// cache; only wall-clock time shrinks.
+    ///
+    /// The per-cell goodness pass — the dominant Evaluation cost on the
+    /// extended tier — is incremental when
+    /// [`SimEConfig::incremental_goodness`] is on: the goodness vector is
+    /// carried in the scratch across iterations and only the cells
+    /// invalidated by the re-priced nets (and, under the delay objective,
+    /// re-priced critical paths) are recomputed. Per-cell goodness is a pure
+    /// function of the net lengths the cell reads and untouched cells kept
+    /// bit-identical lengths, so the resulting goodness vector is **bitwise
+    /// identical** to the full rebuild (invalidation rules in DESIGN.md §3a).
     pub fn evaluate_with<'s>(
         &self,
         placement: &Placement,
         scratch: &'s mut SimEScratch,
         profile: &mut ProfileReport,
     ) -> (&'s [f64], &'s [f64]) {
-        self.evaluate_goodness_on(placement, scratch, profile, &EvalContext::serial())
-    }
-
-    /// The Evaluation step under an explicit [`EvalContext`]: the net-length
-    /// refresh re-evaluates only dirty nets (fanning out when the delta is
-    /// wide), and the per-cell goodness pass — the dominant Evaluation cost
-    /// on the extended tier — is incremental when
-    /// [`SimEConfig::incremental_goodness`] is on: the goodness vector is
-    /// carried in the scratch across iterations and only the cells
-    /// invalidated by the re-priced nets (and, under the delay objective,
-    /// re-priced critical paths) are recomputed, chunking over the dirty
-    /// subset when it is wide. Per-cell goodness is a pure function of the
-    /// net lengths the cell reads, untouched cells kept bit-identical
-    /// lengths, and every recomputed cell runs the exact serial per-cell
-    /// arithmetic, so the resulting goodness vector is **bitwise identical**
-    /// to [`SimEEngine::evaluate_with`] for every chunk count and to the full
-    /// rebuild (the intra-rank extension of the DESIGN.md §4 determinism
-    /// contract; invalidation rules in DESIGN.md §3a).
-    ///
-    /// Profile work counts are the nominal algorithmic counts either way;
-    /// only wall-clock changes.
-    pub fn evaluate_goodness_on<'s>(
-        &self,
-        placement: &Placement,
-        scratch: &'s mut SimEScratch,
-        profile: &mut ProfileReport,
-        ctx: &EvalContext<'_>,
-    ) -> (&'s [f64], &'s [f64]) {
         let t0 = Instant::now();
-        self.refresh_on(placement, scratch, ctx);
+        self.refresh(placement, scratch);
         profile.add_time(Phase::CostCalculation, t0.elapsed());
         profile.add_net_evals(Phase::CostCalculation, scratch.cache.lengths().len() as u64);
 
@@ -469,87 +427,17 @@ impl SimEEngine {
             // lengths the full pass computes, and untouched cells kept nets
             // with bit-identical lengths, so the completed vector is bitwise
             // identical to a full rebuild.
-            let pending = std::mem::take(&mut scratch.pending_cells);
-            scratch.goodness_delta_recomputes += pending.len() as u64;
-            let fan_out = match ctx.fan_out() {
-                Some((pool, chunks))
-                    if pending.len() >= PARALLEL_GOODNESS_THRESHOLD.max(2 * chunks) =>
-                {
-                    Some((pool, chunks))
-                }
-                _ => None,
-            };
-            if let Some((pool, chunks)) = fan_out {
-                let ranges = chunk_ranges(pending.len(), chunks);
-                if scratch.chunk_goodness.len() < ranges.len() {
-                    scratch.chunk_goodness.resize_with(ranges.len(), Vec::new);
-                }
-                // Split borrows: the chunk tasks read the shared net lengths
-                // and the pending list, each writing its own output buffer.
-                let lengths: &[f64] = scratch.cache.lengths();
-                let goodness = &self.goodness;
-                let pending_ref: &[CellId] = &pending;
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = scratch.chunk_goodness
-                    [..ranges.len()]
-                    .iter_mut()
-                    .zip(ranges.iter().cloned())
-                    .map(|(buf, range)| {
-                        Box::new(move || {
-                            buf.clear();
-                            buf.extend(pending_ref[range].iter().map(|&cell| {
-                                goodness.cell_goodness_from_lengths(cell, lengths).combined
-                            }));
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                pool.run_scoped_tasks(tasks);
-                for (buf, range) in scratch.chunk_goodness.iter().zip(ranges) {
-                    for (&cell, &g) in pending[range].iter().zip(buf.iter()) {
-                        scratch.goodness[cell.index()] = g;
-                    }
-                }
-            } else {
-                let lengths: &[f64] = scratch.cache.lengths();
-                for &cell in &pending {
-                    scratch.goodness[cell.index()] = self
-                        .goodness
-                        .cell_goodness_from_lengths(cell, lengths)
-                        .combined;
-                }
+            scratch.goodness_delta_recomputes += scratch.pending_cells.len() as u64;
+            let lengths: &[f64] = scratch.cache.lengths();
+            for &cell in &scratch.pending_cells {
+                scratch.goodness[cell.index()] = self
+                    .goodness
+                    .cell_goodness_from_lengths(cell, lengths)
+                    .combined;
             }
-            scratch.pending_cells = pending;
         } else {
-            match ctx.fan_out() {
-                None => {
-                    self.goodness
-                        .all_goodness_into(scratch.cache.lengths(), &mut scratch.goodness);
-                }
-                Some((pool, chunks)) => {
-                    let ranges = chunk_ranges(num_cells, chunks);
-                    if scratch.chunk_goodness.len() < ranges.len() {
-                        scratch.chunk_goodness.resize_with(ranges.len(), Vec::new);
-                    }
-                    // Split borrows: the chunk tasks read the shared net
-                    // lengths and each writes its own output buffer.
-                    let lengths: &[f64] = scratch.cache.lengths();
-                    let goodness = &self.goodness;
-                    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = scratch.chunk_goodness
-                        [..ranges.len()]
-                        .iter_mut()
-                        .zip(ranges)
-                        .map(|(buf, range)| {
-                            Box::new(move || goodness.goodness_range_into(lengths, range, buf))
-                                as Box<dyn FnOnce() + Send + '_>
-                        })
-                        .collect();
-                    let chunks_used = tasks.len();
-                    pool.run_scoped_tasks(tasks);
-                    scratch.goodness.clear();
-                    for buf in &scratch.chunk_goodness[..chunks_used] {
-                        scratch.goodness.extend_from_slice(buf);
-                    }
-                }
-            }
+            self.goodness
+                .all_goodness_into(scratch.cache.lengths(), &mut scratch.goodness);
             scratch.goodness_valid = self.config.incremental_goodness;
         }
         // The vector is complete for the cache's current lengths: empty the
@@ -564,14 +452,10 @@ impl SimEEngine {
         (scratch.cache.lengths(), &scratch.goodness)
     }
 
-    /// Brings `scratch.cache` in sync with `placement` under an explicit
-    /// [`EvalContext`]. The plan (which nets are dirty) is computed serially;
-    /// when it is wide enough the per-net length computations — each a pure
-    /// function of the placement — fan out over the context's worker pool in
-    /// index-contiguous chunks, each chunk writing its own buffer, and the
-    /// chunk-ordered scatter completes the cache. Bitwise identical to the
-    /// monolithic serial [`NetLengthCache::refresh`] for every chunk count.
-    fn refresh_on(&self, placement: &Placement, scratch: &mut SimEScratch, ctx: &EvalContext<'_>) {
+    /// Brings `scratch.cache` in sync with `placement`, noting the cells whose
+    /// goodness the re-priced nets invalidate. Bitwise identical to the
+    /// monolithic [`NetLengthCache::refresh`].
+    fn refresh(&self, placement: &Placement, scratch: &mut SimEScratch) {
         let mut dirty = std::mem::take(&mut scratch.dirty_nets);
         let full = scratch
             .cache
@@ -585,53 +469,12 @@ impl SimEEngine {
         } else if self.config.incremental_goodness && scratch.goodness_valid && !dirty.is_empty() {
             self.note_dirty_cells(scratch, &dirty);
         }
-        let fan_out = match ctx.fan_out() {
-            Some((pool, chunks)) if dirty.len() >= PARALLEL_REFRESH_THRESHOLD.max(2 * chunks) => {
-                Some((pool, chunks))
-            }
-            _ => None,
-        };
-        if let Some((pool, chunks)) = fan_out {
-            let ranges = chunk_ranges(dirty.len(), chunks);
-            let mut scorers = std::mem::take(&mut scratch.chunk_scorers);
-            let mut bufs = std::mem::take(&mut scratch.chunk_lengths);
-            if scorers.len() < ranges.len() {
-                scorers.resize_with(ranges.len(), || TrialScorer::for_evaluator(&self.evaluator));
-            }
-            if bufs.len() < ranges.len() {
-                bufs.resize_with(ranges.len(), Vec::new);
-            }
-            {
-                let evaluator = &self.evaluator;
-                let dirty = &dirty;
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = scorers
-                    .iter_mut()
-                    .zip(bufs.iter_mut())
-                    .zip(ranges.iter().cloned())
-                    .map(|((scorer, buf), range)| {
-                        Box::new(move || {
-                            buf.clear();
-                            for &net in &dirty[range] {
-                                buf.push(scorer.net_length(evaluator, placement, net));
-                            }
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                pool.run_scoped_tasks(tasks);
-            }
-            for (buf, range) in bufs.iter().zip(ranges) {
-                scratch.cache.store_lengths(&dirty[range], buf);
-            }
-            scratch.chunk_scorers = scorers;
-            scratch.chunk_lengths = bufs;
-        } else {
-            for &net in &dirty {
-                let length = scratch
-                    .alloc
-                    .scorer
-                    .net_length(&self.evaluator, placement, net);
-                scratch.cache.store_length(net, length);
-            }
+        for &net in &dirty {
+            let length = scratch
+                .alloc
+                .scorer
+                .net_length(&self.evaluator, placement, net);
+            scratch.cache.store_length(net, length);
         }
         scratch.dirty_nets = dirty;
     }
@@ -707,24 +550,20 @@ impl SimEEngine {
         frozen: &[bool],
         allowed_rows: &[usize],
     ) -> (f64, usize, AllocationStats) {
-        self.iterate_on(
+        let (_net_lengths, goodness) = self.evaluate_with(placement, scratch, profile);
+        let avg_goodness = goodness.iter().sum::<f64>() / goodness.len().max(1) as f64;
+        let (selected, alloc_stats) = self.select_allocate_from_scratch(
             placement,
             scratch,
             rng,
             profile,
             frozen,
             allowed_rows,
-            &EvalContext::serial(),
-        )
+        );
+        (avg_goodness, selected, alloc_stats)
     }
 
-    /// [`SimEEngine::iterate`] under an explicit [`EvalContext`]: the
-    /// goodness pass ([`SimEEngine::evaluate_goodness_on`]) and the
-    /// allocation trial-scoring loop
-    /// ([`crate::allocation::allocate_cell_on`]) fan out over the context's
-    /// worker pool. Bitwise identical to the serial iteration for every chunk
-    /// count — the RNG stream, the selection set, every chosen slot and all
-    /// work counts are unchanged; only wall-clock differs.
+    /// Forwards to [`SimEEngine::iterate`]; the context has no effect.
     #[allow(clippy::too_many_arguments)]
     pub fn iterate_on<R: Rng + ?Sized>(
         &self,
@@ -734,20 +573,9 @@ impl SimEEngine {
         profile: &mut ProfileReport,
         frozen: &[bool],
         allowed_rows: &[usize],
-        ctx: &EvalContext<'_>,
+        _ctx: &EvalContext<'_>,
     ) -> (f64, usize, AllocationStats) {
-        let (_net_lengths, goodness) = self.evaluate_goodness_on(placement, scratch, profile, ctx);
-        let avg_goodness = goodness.iter().sum::<f64>() / goodness.len().max(1) as f64;
-        let (selected, alloc_stats) = self.select_allocate_from_scratch(
-            placement,
-            scratch,
-            rng,
-            profile,
-            frozen,
-            allowed_rows,
-            ctx,
-        );
-        (avg_goodness, selected, alloc_stats)
+        self.iterate(placement, scratch, rng, profile, frozen, allowed_rows)
     }
 
     /// The Selection and Allocation steps of one iteration, driven by a
@@ -777,34 +605,6 @@ impl SimEEngine {
         frozen: &[bool],
         allowed_rows: &[usize],
     ) -> (usize, AllocationStats) {
-        self.select_and_allocate_on(
-            placement,
-            scratch,
-            goodness,
-            rng,
-            profile,
-            frozen,
-            allowed_rows,
-            &EvalContext::serial(),
-        )
-    }
-
-    /// [`SimEEngine::select_and_allocate`] under an explicit [`EvalContext`]
-    /// (the Type I master consumes the gathered goodness vector and may still
-    /// fan its allocation trial scoring out intra-rank). Bitwise identical to
-    /// the serial variant for every chunk count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn select_and_allocate_on<R: Rng + ?Sized>(
-        &self,
-        placement: &mut Placement,
-        scratch: &mut SimEScratch,
-        goodness: &[f64],
-        rng: &mut R,
-        profile: &mut ProfileReport,
-        frozen: &[bool],
-        allowed_rows: &[usize],
-        ctx: &EvalContext<'_>,
-    ) -> (usize, AllocationStats) {
         assert_eq!(
             goodness.len(),
             self.evaluator.netlist().num_cells(),
@@ -818,21 +618,12 @@ impl SimEEngine {
         scratch.goodness_valid = false;
         scratch.pending_cells.clear();
         scratch.cell_stamp_cur = scratch.cell_stamp_cur.wrapping_add(1);
-        self.select_allocate_from_scratch(
-            placement,
-            scratch,
-            rng,
-            profile,
-            frozen,
-            allowed_rows,
-            ctx,
-        )
+        self.select_allocate_from_scratch(placement, scratch, rng, profile, frozen, allowed_rows)
     }
 
-    /// Shared Selection → Allocation tail of [`SimEEngine::iterate_on`] and
-    /// [`SimEEngine::select_and_allocate_on`]; reads the goodness vector
-    /// already staged in `scratch.goodness`.
-    #[allow(clippy::too_many_arguments)]
+    /// Shared Selection → Allocation tail of [`SimEEngine::iterate`] and
+    /// [`SimEEngine::select_and_allocate`]; reads the goodness vector already
+    /// staged in `scratch.goodness`.
     fn select_allocate_from_scratch<R: Rng + ?Sized>(
         &self,
         placement: &mut Placement,
@@ -841,7 +632,6 @@ impl SimEEngine {
         profile: &mut ProfileReport,
         frozen: &[bool],
         allowed_rows: &[usize],
-        ctx: &EvalContext<'_>,
     ) -> (usize, AllocationStats) {
         let t0 = Instant::now();
         // Fixed cells (pads, macros) must never enter the selection set. The
@@ -862,7 +652,7 @@ impl SimEEngine {
         profile.add_time(Phase::Selection, t0.elapsed());
 
         let t1 = Instant::now();
-        let alloc_stats = allocate_all_on(
+        let alloc_stats = allocate_all(
             &self.evaluator,
             &mut scratch.alloc,
             placement,
@@ -871,7 +661,6 @@ impl SimEEngine {
             &self.config.allocation,
             allowed_rows,
             rng,
-            ctx,
         );
         profile.add_time(Phase::Allocation, t1.elapsed());
         profile.add_net_evals(Phase::Allocation, alloc_stats.net_evaluations as u64);
@@ -951,22 +740,7 @@ impl SimEEngine {
     /// object is the one the cache is synchronised with) and aggregates the
     /// breakdown. Bitwise identical to `evaluator().evaluate(placement)`.
     pub fn cost_with(&self, placement: &Placement, scratch: &mut SimEScratch) -> CostBreakdown {
-        self.cost_with_on(placement, scratch, &EvalContext::serial())
-    }
-
-    /// [`SimEEngine::cost_with`] under an explicit [`EvalContext`]: a wide
-    /// refresh (the full pass over a fresh placement, or the broad delta
-    /// after an allocation pass) fans its per-net length computations out
-    /// over the context's worker pool. Bitwise identical to
-    /// [`SimEEngine::cost_with`] — per-net length is a pure function of the
-    /// placement and the aggregation stays serial.
-    pub fn cost_with_on(
-        &self,
-        placement: &Placement,
-        scratch: &mut SimEScratch,
-        ctx: &EvalContext<'_>,
-    ) -> CostBreakdown {
-        self.refresh_on(placement, scratch, ctx);
+        self.refresh(placement, scratch);
         self.evaluator
             .evaluate_from_lengths(placement, scratch.cache.lengths())
     }
@@ -1216,102 +990,6 @@ mod tests {
             delta < num_cells * iters,
             "the incremental path recomputed as much as full rebuilds would ({delta})"
         );
-    }
-
-    #[test]
-    fn chunked_iteration_is_bitwise_serial() {
-        // The intra-rank context must not change a single bit of the search:
-        // run the same seeded multi-iteration trajectory serially and at
-        // several chunk counts and compare costs per iteration.
-        use cluster_sim::comm::WorkerPool;
-        let nl = netlist(160, 31);
-        let config = SimEConfig::fast(Objectives::WirelengthPowerDelay, 8, 1);
-        let engine = SimEEngine::new(nl, config);
-        let pool = WorkerPool::new(2);
-
-        let run = |ctx: &EvalContext<'_>| -> Vec<u64> {
-            let mut rng = ChaCha8Rng::seed_from_u64(17);
-            let mut placement = engine.initial_placement(&mut rng);
-            let mut scratch = engine.new_scratch();
-            let mut profile = ProfileReport::new();
-            let mut trace = Vec::new();
-            for _ in 0..6 {
-                let (avg, selected, stats) = engine.iterate_on(
-                    &mut placement,
-                    &mut scratch,
-                    &mut rng,
-                    &mut profile,
-                    &[],
-                    &[],
-                    ctx,
-                );
-                let cost = engine.cost_with(&placement, &mut scratch);
-                trace.push(avg.to_bits());
-                trace.push(selected as u64);
-                trace.push(stats.net_evaluations as u64);
-                trace.push(cost.mu.to_bits());
-                trace.push(cost.wirelength.to_bits());
-            }
-            trace
-        };
-
-        let serial = run(&EvalContext::serial());
-        for chunks in [2usize, 3, 4] {
-            let chunked = run(&EvalContext::chunked(&pool, chunks));
-            assert_eq!(serial, chunked, "chunks={chunks}");
-        }
-    }
-
-    #[test]
-    fn chunked_cost_refresh_is_bitwise_serial() {
-        // `cost_with_on` fans the wide refreshes (full pass on a fresh
-        // scratch, broad delta after an iteration) out over the pool; both
-        // the breakdown and the cache's per-net lengths must equal the serial
-        // path bitwise for every chunk count.
-        use cluster_sim::comm::WorkerPool;
-        let nl = netlist(200, 37);
-        let config = SimEConfig::fast(Objectives::WirelengthPower, 8, 1);
-        let engine = SimEEngine::new(nl, config);
-        let pool = WorkerPool::new(2);
-
-        let run = |ctx: &EvalContext<'_>| -> (Vec<u64>, Vec<u64>) {
-            let mut rng = ChaCha8Rng::seed_from_u64(23);
-            let mut placement = engine.initial_placement(&mut rng);
-            let mut scratch = engine.new_scratch();
-            let mut profile = ProfileReport::new();
-            // Fresh scratch: the first cost is a full (every-net) refresh.
-            let full = engine.cost_with_on(&placement, &mut scratch, ctx);
-            // One iteration later the refresh is a wide delta.
-            engine.iterate_on(
-                &mut placement,
-                &mut scratch,
-                &mut rng,
-                &mut profile,
-                &[],
-                &[],
-                ctx,
-            );
-            let delta = engine.cost_with_on(&placement, &mut scratch, ctx);
-            let costs = vec![
-                full.mu.to_bits(),
-                full.wirelength.to_bits(),
-                delta.mu.to_bits(),
-                delta.wirelength.to_bits(),
-            ];
-            let lengths = scratch
-                .cache
-                .lengths()
-                .iter()
-                .map(|l| l.to_bits())
-                .collect();
-            (costs, lengths)
-        };
-
-        let serial = run(&EvalContext::serial());
-        for chunks in [2usize, 3, 5] {
-            let chunked = run(&EvalContext::chunked(&pool, chunks));
-            assert_eq!(serial, chunked, "chunks={chunks}");
-        }
     }
 
     #[test]

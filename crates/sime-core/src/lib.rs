@@ -38,7 +38,7 @@ pub use allocation::{AllocScratch, AllocationConfig, AllocationStats, Allocation
 pub use engine::{
     IterationStats, SimEConfig, SimEEngine, SimEResult, SimEScratch, StoppingCriteria,
 };
-pub use parallel::{chunk_ranges, EvalContext};
+pub use parallel::EvalContext;
 pub use profile::{Phase, ProfileReport};
 pub use selection::{select, SelectionScheme};
 
@@ -46,7 +46,6 @@ pub use selection::{select, SelectionScheme};
 pub mod prelude {
     pub use crate::allocation::{AllocScratch, AllocationConfig, AllocationStrategy};
     pub use crate::engine::{SimEConfig, SimEEngine, SimEResult, SimEScratch, StoppingCriteria};
-    pub use crate::parallel::EvalContext;
     pub use crate::profile::ProfileReport;
     pub use crate::selection::SelectionScheme;
 }

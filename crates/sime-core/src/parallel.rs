@@ -1,167 +1,30 @@
-//! Intra-rank evaluation parallelism: the execution context threaded through
-//! the engine's Evaluation and Allocation hot paths.
+//! The execution context the engine's `*_on` entry points still accept.
 //!
-//! The parallel strategies of `sime-parallel` fan work out *across* simulated
-//! ranks; this module is about the orthogonal axis *inside* one rank: the
-//! per-cell goodness pass and the allocation trial-scoring loop both consist
-//! of many independent read-only computations over shared engine state, so
-//! they can be chunked across the OS worker threads of a
-//! [`cluster_sim::comm::WorkerPool`] without changing a single bit of output.
-//!
-//! # Determinism contract (DESIGN.md §4, intra-rank extension)
-//!
-//! * **Chunk boundaries are fixed by index.** [`chunk_ranges`] partitions
-//!   `0..n` into contiguous ranges that depend only on `(n, chunks)` — never
-//!   on worker count, scheduling, or timing.
-//! * **Chunks are merged in chunk order.** Every consumer concatenates (or
-//!   reduces) the per-chunk results in ascending chunk index, reproducing the
-//!   serial left-to-right order exactly.
-//! * **Chunk bodies are bitwise-pure.** Each chunk computes exactly the
-//!   values the serial loop computes for its index range, from the same
-//!   shared inputs, with no cross-chunk accumulation — so the merged output
-//!   is bitwise identical to the serial pass for *any* chunk count.
-//!
-//! [`EvalContext::serial`] (and any context with fewer than two chunks) runs
-//! the original serial code path, byte for byte.
+//! Every rank runs Evaluation and Allocation on one serial code path;
+//! parallelism lives at the rank level (the strategies of `sime-parallel`).
+//! [`EvalContext`] is kept only so existing callers compile.
 
 use cluster_sim::comm::WorkerPool;
+use std::marker::PhantomData;
 
-/// How the engine executes its intra-iteration hot loops: serially on the
-/// calling thread, or chunked across a shared [`WorkerPool`].
-///
-/// The context only ever changes *where* the per-cell/per-slot computations
-/// run; the values they produce, the RNG streams, the profile work counts and
-/// the resulting placement trajectory are bitwise identical across every
-/// variant (see the [module docs](self)).
+/// An inert execution context: every constructor yields the same serial
+/// context, and no engine entry point reads it.
 #[derive(Debug, Clone, Copy)]
-pub struct EvalContext<'a> {
-    pool: Option<&'a WorkerPool>,
-    chunks: usize,
-}
+pub struct EvalContext<'a>(PhantomData<&'a WorkerPool>);
 
 impl<'a> EvalContext<'a> {
-    /// The serial context: every loop runs inline on the calling thread.
+    /// The serial context. Has no effect.
     pub fn serial() -> Self {
-        EvalContext {
-            pool: None,
-            chunks: 1,
-        }
+        EvalContext(PhantomData)
     }
 
-    /// A context that fans the evaluation loops out over `pool` in `chunks`
-    /// index-contiguous chunks. `chunks <= 1` is equivalent to
-    /// [`EvalContext::serial`].
-    pub fn chunked(pool: &'a WorkerPool, chunks: usize) -> Self {
-        EvalContext {
-            pool: Some(pool),
-            chunks: chunks.max(1),
-        }
+    /// The serial context; the pool and chunk count have no effect.
+    pub fn chunked(_pool: &'a WorkerPool, _chunks: usize) -> Self {
+        EvalContext::serial()
     }
 
-    /// The context for an optional pool handle: chunked when a pool is
-    /// available and more than one chunk was asked for, serial otherwise.
-    /// This is the one constructor the strategy drivers use inside their
-    /// rank tasks, so the gating rule lives in exactly one place.
-    pub fn from_pool(pool: Option<&'a WorkerPool>, chunks: usize) -> Self {
-        match pool {
-            Some(pool) if chunks > 1 => EvalContext::chunked(pool, chunks),
-            _ => EvalContext::serial(),
-        }
-    }
-
-    /// The pool and chunk count when this context actually parallelises
-    /// (`None` for the serial path).
-    pub fn fan_out(&self) -> Option<(&'a WorkerPool, usize)> {
-        match self.pool {
-            Some(pool) if self.chunks > 1 => Some((pool, self.chunks)),
-            _ => None,
-        }
-    }
-
-    /// The effective intra-rank parallelism: the chunk count when fan-out is
-    /// active, 1 otherwise. This is what [`StrategyOutcome::eval_chunks`]
-    /// reports.
-    ///
-    /// [`StrategyOutcome::eval_chunks`]: ../../sime_parallel/report/struct.StrategyOutcome.html#structfield.eval_chunks
-    pub fn effective_chunks(&self) -> usize {
-        self.fan_out().map_or(1, |(_, c)| c)
-    }
-}
-
-/// Partitions `0..n` into at most `chunks` contiguous index ranges of
-/// near-equal size (the leading ranges are one longer when `chunks` does not
-/// divide `n`). Empty ranges are omitted, so fewer than `chunks` ranges come
-/// back when `n < chunks`.
-///
-/// The boundaries depend only on `(n, chunks)` — this is what pins the
-/// intra-rank determinism contract's "chunk boundaries are fixed by cell
-/// index" clause.
-pub fn chunk_ranges(n: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
-    let chunks = chunks.max(1);
-    let base = n / chunks;
-    let extra = n % chunks;
-    let mut out = Vec::with_capacity(chunks.min(n));
-    let mut start = 0usize;
-    for c in 0..chunks {
-        let len = base + usize::from(c < extra);
-        if len == 0 {
-            break;
-        }
-        out.push(start..start + len);
-        start += len;
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ranges_tile_the_index_space_in_order() {
-        for n in [0usize, 1, 2, 7, 64, 1001] {
-            for chunks in [1usize, 2, 3, 4, 8, 2000] {
-                let ranges = chunk_ranges(n, chunks);
-                let mut expect = 0usize;
-                for r in &ranges {
-                    assert_eq!(r.start, expect, "n={n} chunks={chunks}");
-                    assert!(!r.is_empty());
-                    expect = r.end;
-                }
-                assert_eq!(expect, n, "n={n} chunks={chunks}: ranges must cover 0..n");
-                assert!(ranges.len() <= chunks.max(1).min(n.max(1)));
-            }
-        }
-    }
-
-    #[test]
-    fn ranges_are_balanced() {
-        let ranges = chunk_ranges(10, 4);
-        let lens: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-        assert_eq!(lens, vec![3, 3, 2, 2]);
-    }
-
-    #[test]
-    fn ranges_depend_only_on_n_and_chunks() {
-        assert_eq!(chunk_ranges(100, 4), chunk_ranges(100, 4));
-        assert_eq!(chunk_ranges(5, 8).len(), 5);
-        assert_eq!(chunk_ranges(0, 3), Vec::<std::ops::Range<usize>>::new());
-    }
-
-    #[test]
-    fn serial_context_never_fans_out() {
-        assert!(EvalContext::serial().fan_out().is_none());
-        assert_eq!(EvalContext::serial().effective_chunks(), 1);
-        let pool = WorkerPool::new(1);
-        assert!(EvalContext::chunked(&pool, 1).fan_out().is_none());
-        assert_eq!(EvalContext::chunked(&pool, 3).effective_chunks(), 3);
-    }
-
-    #[test]
-    fn from_pool_gates_on_pool_and_chunk_count() {
-        assert!(EvalContext::from_pool(None, 8).fan_out().is_none());
-        let pool = WorkerPool::new(1);
-        assert!(EvalContext::from_pool(Some(&pool), 1).fan_out().is_none());
-        assert_eq!(EvalContext::from_pool(Some(&pool), 4).effective_chunks(), 4);
+    /// The serial context; the pool and chunk count have no effect.
+    pub fn from_pool(_pool: Option<&'a WorkerPool>, _chunks: usize) -> Self {
+        EvalContext::serial()
     }
 }

@@ -136,11 +136,7 @@ pub struct ScenarioSpec {
     /// with `n` OS workers. Not part of the scenario identity — see the
     /// [module docs](self).
     pub workers: Option<usize>,
-    /// Intra-rank `EvalParallelism` chunks (1 = serial; only consulted on the
-    /// threaded backend). Like `workers`, **not** part of the scenario
-    /// identity: the intra-rank determinism contract promises chunk counts
-    /// change nothing but wall-clock, and the golden suite checks exactly
-    /// that promise.
+    /// Has no effect; not part of the scenario identity.
     pub eval_chunks: usize,
     /// Warm-start tag: `None` starts from the usual random deal, `Some(tag)`
     /// starts from a named `.pl` placement resolved by the job runner (the
@@ -152,7 +148,7 @@ pub struct ScenarioSpec {
 
 impl ScenarioSpec {
     /// Stable scenario identity: every field except the execution backend
-    /// (worker count *and* intra-rank chunk count). Used as the golden-file
+    /// (worker count) and the inert `eval_chunks`. Used as the golden-file
     /// stem and the JSON record key.
     pub fn id(&self) -> String {
         let mut id = format!(
@@ -173,7 +169,7 @@ impl ScenarioSpec {
     pub fn backend(&self) -> Box<dyn ExecBackend> {
         match self.workers {
             None => Box::new(Modeled),
-            Some(n) => Box::new(Threaded::new(n).with_eval_chunks(self.eval_chunks)),
+            Some(n) => Box::new(Threaded::new(n)),
         }
     }
 
@@ -182,16 +178,6 @@ impl ScenarioSpec {
     pub fn on_workers(&self, workers: Option<usize>) -> ScenarioSpec {
         ScenarioSpec {
             workers,
-            ..self.clone()
-        }
-    }
-
-    /// The same scenario with a different intra-rank chunk count (same
-    /// identity, same golden fingerprint under the intra-rank determinism
-    /// contract). Only meaningful together with a threaded backend.
-    pub fn with_eval_chunks(&self, eval_chunks: usize) -> ScenarioSpec {
-        ScenarioSpec {
-            eval_chunks: eval_chunks.max(1),
             ..self.clone()
         }
     }
@@ -495,7 +481,7 @@ impl ScenarioRecord {
             "{{\"scenario\": \"{id}\", \"circuit\": \"{circuit}\", \
              \"strategy\": \"{strategy}\", \"ranks\": {ranks}, \
              \"iterations\": {iters}, \"objectives\": \"{obj}\", \
-             \"backend\": \"{backend}\", \"eval_chunks\": {chunks}, \
+             \"backend\": \"{backend}\", \
              \"best_mu\": {mu:.6}, \
              \"modeled_seconds\": {modeled:.4}, \"wall_seconds\": {wall:.4}, \
              \"comm_messages\": {msgs}, \"comm_bytes\": {bytes}, \
@@ -509,7 +495,6 @@ impl ScenarioRecord {
             iters = self.spec.iterations,
             obj = objectives_tag(self.spec.objectives),
             backend = self.outcome.backend,
-            chunks = self.outcome.eval_chunks,
             mu = self.outcome.best_cost.mu,
             modeled = self.outcome.modeled_seconds,
             wall = self.outcome.wall_seconds,
@@ -674,9 +659,8 @@ pub fn check_goldens(
 /// into `tests/golden/` and replayed by the `golden_suite` integration test
 /// on every push. Small circuits and short runs — the gate must stay cheap —
 /// but covering all three SimE strategies (Type II in both row patterns),
-/// the island portfolio, both objective mixes, two extended-tier circuits
-/// (the `s9234` entry is additionally replayed with intra-rank parallelism
-/// at 1/2/4 chunks by the golden suite), one mixed-size circuit with fixed
+/// the island portfolio, both objective mixes, two extended-tier circuits,
+/// one mixed-size circuit with fixed
 /// pads and multi-row macros, and one warm-started run replayed from a
 /// written `.pl` layout.
 pub fn golden_subset() -> Vec<ScenarioSpec> {
@@ -794,20 +778,6 @@ pub fn golden_subset() -> Vec<ScenarioSpec> {
     ]
 }
 
-/// The golden scenarios the suite replays with intra-rank parallelism
-/// (chunks 1/2/4 on the threaded backend) in addition to the plain backend
-/// sweep: the extended-tier entries, where the intra-rank fan-out actually
-/// has work to chunk.
-pub fn intra_rank_golden_subset() -> Vec<ScenarioSpec> {
-    golden_subset()
-        .into_iter()
-        .filter(|spec| {
-            vlsi_netlist::bench_suite::SuiteCircuit::from_name(&spec.circuit)
-                .is_some_and(|c| c.is_extended())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -830,7 +800,6 @@ mod tests {
         let spec = small_spec();
         assert_eq!(spec.id(), "s1196.type2_random.r3.i3.wp");
         assert_eq!(spec.on_workers(Some(4)).id(), spec.id());
-        assert_eq!(spec.on_workers(Some(4)).with_eval_chunks(2).id(), spec.id());
     }
 
     #[test]
@@ -920,13 +889,6 @@ mod tests {
             a.fingerprint, threaded.fingerprint,
             "backend must not change the fingerprint"
         );
-        let intra = driver.run_cell(&spec.on_workers(Some(2)).with_eval_chunks(4));
-        assert_eq!(
-            a.fingerprint, intra.fingerprint,
-            "intra-rank chunk count must not change the fingerprint"
-        );
-        assert_eq!(intra.outcome.eval_chunks, 4);
-        assert_eq!(intra.outcome.backend, "threaded(2,ev4)");
     }
 
     #[test]
@@ -955,18 +917,6 @@ mod tests {
                 line.contains(" -> "),
                 "diff line must show old and new: {line}"
             );
-        }
-    }
-
-    #[test]
-    fn intra_rank_golden_subset_is_the_extended_tier() {
-        let intra = intra_rank_golden_subset();
-        assert!(!intra.is_empty());
-        for spec in &intra {
-            let circuit =
-                vlsi_netlist::bench_suite::SuiteCircuit::from_name(&spec.circuit).unwrap();
-            assert!(circuit.is_extended(), "{}", spec.circuit);
-            assert!(golden_subset().iter().any(|g| g.id() == spec.id()));
         }
     }
 
@@ -1011,10 +961,6 @@ mod tests {
             assert!(
                 spec.workers.is_none(),
                 "goldens are blessed on the modeled backend"
-            );
-            assert_eq!(
-                spec.eval_chunks, 1,
-                "goldens are blessed on the serial eval path"
             );
         }
     }

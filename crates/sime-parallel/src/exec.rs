@@ -35,30 +35,16 @@
 //! counts. `DESIGN.md` §4 in the `bench` crate records the full contract,
 //! including the per-strategy channel topology.
 //!
-//! # Intra-rank evaluation parallelism
-//!
-//! Orthogonal to the rank-level fan-out, the `Threaded` backend carries an
-//! **`EvalParallelism`** knob ([`Threaded::with_eval_chunks`]): with more
-//! than one chunk, each rank task additionally fans its *own* Evaluation
-//! phase (the per-cell goodness pass) and allocation trial-scoring loop out
-//! across the **same** worker pool, through
-//! [`sime_core::parallel::EvalContext`]. Chunk boundaries are fixed by cell
-//! (or slot) index and chunk results merge in chunk order, so every output
-//! stays bitwise identical across chunk counts — `Modeled` and
-//! `Threaded::new(n)` (one chunk) remain bit-for-bit unchanged, and
-//! `threaded(n,evC)` joins them inside the same contract. The pool's
-//! help-while-waiting discipline (see [`WorkerPool`]) makes the nested
-//! submission deadlock-free at any worker count.
+//! Inside one rank task, Evaluation and Allocation run on one serial code
+//! path: parallelism lives only at the rank level.
 //!
 //! ```
 //! use sime_parallel::exec::{ExecBackend, Modeled, Threaded};
 //!
 //! let modeled: Box<dyn ExecBackend> = Box::new(Modeled);
 //! let threaded: Box<dyn ExecBackend> = Box::new(Threaded::new(4));
-//! let intra: Box<dyn ExecBackend> = Box::new(Threaded::new(4).with_eval_chunks(2));
 //! assert_eq!(modeled.label(), "modeled");
 //! assert_eq!(threaded.label(), "threaded(4)");
-//! assert_eq!(intra.label(), "threaded(4,ev2)");
 //! ```
 
 use cluster_sim::comm::WorkerPool;
@@ -81,8 +67,8 @@ pub enum Executor {
     /// Run every task inline on the calling thread, in submission order.
     Inline,
     /// Run tasks on a pool of OS worker threads; merge in submission order.
-    /// The pool is behind an `Arc` so rank tasks can hold a handle to the
-    /// same pool for their intra-rank evaluation fan-out.
+    /// The pool is behind an `Arc` so a [`SharedPool`] backend can hand the
+    /// same pool to many runs.
     Pool(Arc<WorkerPool>),
 }
 
@@ -92,34 +78,6 @@ impl Executor {
         match self {
             Executor::Inline => tasks.into_iter().map(|task| task()).collect(),
             Executor::Pool(pool) => pool.run_tasks(tasks),
-        }
-    }
-
-    /// Whether this executor provides real OS-thread parallelism.
-    pub fn is_threaded(&self) -> bool {
-        matches!(self, Executor::Pool(_))
-    }
-
-    /// A shareable handle to the executor's worker pool (`None` for the
-    /// inline executor). Rank tasks clone this into their closures and build
-    /// their intra-rank context with
-    /// [`sime_core::parallel::EvalContext::from_pool`].
-    pub fn pool(&self) -> Option<Arc<WorkerPool>> {
-        match self {
-            Executor::Inline => None,
-            Executor::Pool(pool) => Some(Arc::clone(pool)),
-        }
-    }
-
-    /// The effective intra-rank chunk count a backend's `EvalParallelism`
-    /// knob yields on this executor: the knob value on a pooled executor, 1
-    /// on the inline executor (no pool to fan out on). Shared preamble of
-    /// every strategy driver.
-    pub fn effective_eval_chunks(&self, backend: &dyn ExecBackend) -> usize {
-        if self.is_threaded() {
-            backend.eval_chunks().max(1)
-        } else {
-            1
         }
     }
 }
@@ -138,16 +96,6 @@ pub trait ExecBackend {
     /// backend spawns its worker pool here; the pool lives for the whole run
     /// and is joined when the run's executor is dropped.
     fn executor(&self) -> Executor;
-
-    /// The `EvalParallelism` knob: how many index-contiguous chunks each
-    /// rank task splits its Evaluation / trial-scoring loops into on the
-    /// shared worker pool. The default of 1 means no intra-rank fan-out;
-    /// backends without a pool (an inline executor) are always effectively
-    /// serial regardless of this value. Never changes any output bit — see
-    /// the [module docs](self).
-    fn eval_chunks(&self) -> usize {
-        1
-    }
 }
 
 /// The virtual-time backend: per-rank work runs inline and sequentially; the
@@ -175,12 +123,10 @@ impl ExecBackend for Modeled {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Threaded {
     workers: usize,
-    eval_chunks: usize,
 }
 
 impl Threaded {
-    /// A threaded backend with `workers` OS threads and no intra-rank
-    /// fan-out (one evaluation chunk).
+    /// A threaded backend with `workers` OS threads.
     ///
     /// # Panics
     ///
@@ -190,21 +136,12 @@ impl Threaded {
             workers >= 1,
             "the threaded backend needs at least one worker"
         );
-        Threaded {
-            workers,
-            eval_chunks: 1,
-        }
+        Threaded { workers }
     }
 
-    /// The same backend with its `EvalParallelism` knob set: each rank task
-    /// splits its goodness pass and trial-scoring loops into `chunks`
-    /// index-fixed chunks on the shared pool. `chunks <= 1` disables the
-    /// fan-out. Bitwise-neutral by the intra-rank determinism contract.
-    pub fn with_eval_chunks(self, chunks: usize) -> Self {
-        Threaded {
-            eval_chunks: chunks.max(1),
-            ..self
-        }
+    /// Returns the backend unchanged; `chunks` has no effect.
+    pub fn with_eval_chunks(self, _chunks: usize) -> Self {
+        self
     }
 
     /// The number of OS worker threads this backend spawns per run.
@@ -215,19 +152,11 @@ impl Threaded {
 
 impl ExecBackend for Threaded {
     fn label(&self) -> String {
-        if self.eval_chunks > 1 {
-            format!("threaded({},ev{})", self.workers, self.eval_chunks)
-        } else {
-            format!("threaded({})", self.workers)
-        }
+        format!("threaded({})", self.workers)
     }
 
     fn executor(&self) -> Executor {
         Executor::Pool(Arc::new(WorkerPool::new(self.workers)))
-    }
-
-    fn eval_chunks(&self) -> usize {
-        self.eval_chunks
     }
 }
 
@@ -238,34 +167,24 @@ impl ExecBackend for Threaded {
 /// This is the execution substrate of the `sime-server` job engine: one pool
 /// serves many concurrent placement jobs. Each job's external submitter
 /// blocks passively on its own merges while workers interleave tasks from
-/// every active job; nested intra-rank fan-outs keep the help-while-waiting
-/// discipline, so sharing never deadlocks. The determinism contract is
+/// every active job. The determinism contract is
 /// unaffected — tasks are pure and merges are submission-ordered, so a job's
 /// results are bitwise identical whether its pool is private or shared, busy
 /// or idle.
 #[derive(Clone)]
 pub struct SharedPool {
     pool: Arc<WorkerPool>,
-    eval_chunks: usize,
 }
 
 impl SharedPool {
-    /// A backend whose runs all execute on `pool`, with no intra-rank
-    /// fan-out (one evaluation chunk).
+    /// A backend whose runs all execute on `pool`.
     pub fn new(pool: Arc<WorkerPool>) -> Self {
-        SharedPool {
-            pool,
-            eval_chunks: 1,
-        }
+        SharedPool { pool }
     }
 
-    /// The same backend with its `EvalParallelism` knob set; semantics match
-    /// [`Threaded::with_eval_chunks`].
-    pub fn with_eval_chunks(self, chunks: usize) -> Self {
-        SharedPool {
-            eval_chunks: chunks.max(1),
-            ..self
-        }
+    /// Returns the backend unchanged; `chunks` has no effect.
+    pub fn with_eval_chunks(self, _chunks: usize) -> Self {
+        self
     }
 
     /// A handle to the underlying shared pool.
@@ -276,19 +195,11 @@ impl SharedPool {
 
 impl ExecBackend for SharedPool {
     fn label(&self) -> String {
-        if self.eval_chunks > 1 {
-            format!("shared({},ev{})", self.pool.workers(), self.eval_chunks)
-        } else {
-            format!("shared({})", self.pool.workers())
-        }
+        format!("shared({})", self.pool.workers())
     }
 
     fn executor(&self) -> Executor {
         Executor::Pool(Arc::clone(&self.pool))
-    }
-
-    fn eval_chunks(&self) -> usize {
-        self.eval_chunks
     }
 }
 
@@ -298,22 +209,9 @@ impl ExecBackend for SharedPool {
 /// Returns `None` for an unknown name. `workers` is only consulted for the
 /// threaded backend.
 pub fn backend_from_name(name: &str, workers: usize) -> Option<Box<dyn ExecBackend>> {
-    backend_from_spec(name, workers, 1)
-}
-
-/// [`backend_from_name`] with the intra-rank `EvalParallelism` knob
-/// (`--eval-chunks N` on the CLI surfaces). `eval_chunks` is only consulted
-/// for the threaded backend; values below 1 are clamped to 1.
-pub fn backend_from_spec(
-    name: &str,
-    workers: usize,
-    eval_chunks: usize,
-) -> Option<Box<dyn ExecBackend>> {
     match name {
         "modeled" => Some(Box::new(Modeled)),
-        "threaded" => Some(Box::new(
-            Threaded::new(workers.max(1)).with_eval_chunks(eval_chunks),
-        )),
+        "threaded" => Some(Box::new(Threaded::new(workers.max(1)))),
         _ => None,
     }
 }
@@ -342,37 +240,8 @@ mod tests {
     fn labels_identify_the_backend() {
         assert_eq!(Modeled.label(), "modeled");
         assert_eq!(Threaded::new(3).label(), "threaded(3)");
-        assert_eq!(Threaded::new(3).with_eval_chunks(1).label(), "threaded(3)");
-        assert_eq!(
-            Threaded::new(3).with_eval_chunks(4).label(),
-            "threaded(3,ev4)"
-        );
-        assert!(!Modeled.executor().is_threaded());
-        assert!(Threaded::new(2).executor().is_threaded());
-    }
-
-    #[test]
-    fn eval_chunks_knob_defaults_to_serial() {
-        assert_eq!(Modeled.eval_chunks(), 1);
-        assert_eq!(Threaded::new(4).eval_chunks(), 1);
-        assert_eq!(Threaded::new(4).with_eval_chunks(0).eval_chunks(), 1);
-        assert_eq!(Threaded::new(4).with_eval_chunks(3).eval_chunks(), 3);
-        assert!(Modeled.executor().pool().is_none());
-        assert!(Threaded::new(2).executor().pool().is_some());
-    }
-
-    #[test]
-    fn backend_spec_parses_the_eval_chunks_axis() {
-        assert_eq!(
-            backend_from_spec("threaded", 4, 2).unwrap().label(),
-            "threaded(4,ev2)"
-        );
-        assert_eq!(
-            backend_from_spec("threaded", 4, 0).unwrap().label(),
-            "threaded(4)"
-        );
-        assert_eq!(backend_from_spec("modeled", 4, 8).unwrap().eval_chunks(), 1);
-        assert!(backend_from_spec("mpi", 1, 1).is_none());
+        assert!(matches!(Modeled.executor(), Executor::Inline));
+        assert!(matches!(Threaded::new(2).executor(), Executor::Pool(_)));
     }
 
     #[test]
@@ -401,14 +270,17 @@ mod tests {
         let pool = Arc::new(WorkerPool::new(2));
         let backend = SharedPool::new(Arc::clone(&pool));
         assert_eq!(backend.label(), "shared(2)");
-        assert_eq!(backend.clone().with_eval_chunks(3).label(), "shared(2,ev3)");
         let expected: Vec<usize> = (0..24).map(|i| i * i).collect();
         // Two executors from the same backend share the same pool instance.
         let a = backend.executor();
         let b = backend.executor();
         assert_eq!(squares(&a, 24), expected);
         assert_eq!(squares(&b, 24), expected);
-        assert!(Arc::ptr_eq(&a.pool().unwrap(), &b.pool().unwrap()));
+        let pool_of = |e: &Executor| match e {
+            Executor::Pool(p) => Arc::clone(p),
+            Executor::Inline => panic!("a shared-pool executor is pooled"),
+        };
+        assert!(Arc::ptr_eq(&pool_of(&a), &pool_of(&b)));
         assert_eq!(pool.queued_jobs(), 0);
     }
 }

@@ -78,9 +78,9 @@ pub fn bookshelf_digest(netlist: &Netlist) -> u64 {
 /// part of the scenario identity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    /// The scenario to run. Its `workers`/`eval_chunks` fields are ignored
-    /// by [`JobRunner::run_job`] — the caller chooses the backend — but kept
-    /// so `scenario.id()` stays the golden-comparable identity.
+    /// The scenario to run. Its `workers` field is ignored by
+    /// [`JobRunner::run_job`] — the caller chooses the backend — but kept so
+    /// `scenario.id()` stays the golden-comparable identity.
     pub scenario: ScenarioSpec,
     /// Optional seed override. `None` runs the engine's default seed — the
     /// batch path's behaviour, and the only mode whose fingerprint can match

@@ -81,11 +81,11 @@ pub mod type2;
 pub mod type3;
 
 pub use batch::{
-    check_goldens, golden_subset, intra_rank_golden_subset, BatchDriver, GoldenCheck,
-    ScenarioRecord, ScenarioSpec, StrategyKind, TrajectoryFingerprint,
+    check_goldens, golden_subset, BatchDriver, GoldenCheck, ScenarioRecord, ScenarioSpec,
+    StrategyKind, TrajectoryFingerprint,
 };
 pub use control::{CancelAfter, CancelToken, FreeRun, ObservedRun, RunControl};
-pub use exec::{backend_from_name, backend_from_spec, ExecBackend, Modeled, SharedPool, Threaded};
+pub use exec::{backend_from_name, ExecBackend, Modeled, SharedPool, Threaded};
 pub use jobs::{pl_digest, JobError, JobOutcome, JobRunner, JobSpec};
 pub use portfolio::{
     run_portfolio, run_portfolio_ctl, run_portfolio_on, IslandKind, PortfolioConfig, PortfolioMix,
@@ -98,13 +98,11 @@ pub use type3::{run_type3, run_type3_ctl, run_type3_on, Type3Config};
 /// Convenience prelude bringing the parallel-strategy API into scope.
 pub mod prelude {
     pub use crate::batch::{
-        check_goldens, golden_subset, intra_rank_golden_subset, BatchDriver, GoldenCheck,
-        ScenarioRecord, ScenarioSpec, StrategyKind, TrajectoryFingerprint,
+        check_goldens, golden_subset, BatchDriver, GoldenCheck, ScenarioRecord, ScenarioSpec,
+        StrategyKind, TrajectoryFingerprint,
     };
     pub use crate::control::{CancelAfter, CancelToken, FreeRun, ObservedRun, RunControl};
-    pub use crate::exec::{
-        backend_from_name, backend_from_spec, ExecBackend, Modeled, SharedPool, Threaded,
-    };
+    pub use crate::exec::{backend_from_name, ExecBackend, Modeled, SharedPool, Threaded};
     pub use crate::jobs::{JobError, JobOutcome, JobRunner, JobSpec};
     pub use crate::portfolio::{
         run_portfolio, run_portfolio_ctl, run_portfolio_on, IslandKind, PortfolioConfig,

@@ -35,7 +35,6 @@
 use crate::control::{FreeRun, RunControl};
 use crate::exec::{ExecBackend, Modeled, Task};
 use crate::report::{StrategyOutcome, BYTES_PER_CELL};
-use cluster_sim::comm::WorkerPool;
 use cluster_sim::machine::Workload;
 use cluster_sim::timeline::{ClusterConfig, ClusterTimeline};
 use metaheuristics::optimizer::{EpochWork, GaIsland, Optimizer, SaIsland, TabuIsland};
@@ -44,7 +43,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use sime_core::engine::{SimEEngine, SimEScratch};
-use sime_core::parallel::EvalContext;
 use sime_core::profile::ProfileReport;
 use std::sync::Arc;
 use std::time::Instant;
@@ -154,11 +152,9 @@ impl PortfolioConfig {
 /// Serial-SimE island: one full engine iteration (evaluation, selection,
 /// allocation over all rows) per epoch, over the island's private RNG
 /// stream and scratch. Defined here — not in `metaheuristics` — because it
-/// needs the engine and the intra-rank [`EvalContext`].
+/// needs the engine.
 struct SimeIsland {
     engine: Arc<SimEEngine>,
-    pool: Option<Arc<WorkerPool>>,
-    eval_chunks: usize,
     rng: ChaCha8Rng,
     scratch: SimEScratch,
     placement: Placement,
@@ -171,13 +167,7 @@ struct SimeIsland {
 }
 
 impl SimeIsland {
-    fn new(
-        engine: Arc<SimEEngine>,
-        initial: Placement,
-        seed: u64,
-        pool: Option<Arc<WorkerPool>>,
-        eval_chunks: usize,
-    ) -> Self {
+    fn new(engine: Arc<SimEEngine>, initial: Placement, seed: u64) -> Self {
         let current = engine.evaluator().evaluate(&initial);
         let num_rows = engine.config().num_rows;
         SimeIsland {
@@ -191,8 +181,6 @@ impl SimeIsland {
             best: current,
             evaluations: 1,
             engine,
-            pool,
-            eval_chunks,
         }
     }
 }
@@ -203,20 +191,16 @@ impl Optimizer for SimeIsland {
     }
 
     fn step(&mut self) -> EpochWork {
-        let ctx = EvalContext::from_pool(self.pool.as_deref(), self.eval_chunks);
         let mut profile = ProfileReport::new();
-        let (_avg, _selected, alloc_stats) = self.engine.iterate_on(
+        let (_avg, _selected, alloc_stats) = self.engine.iterate(
             &mut self.placement,
             &mut self.scratch,
             &mut self.rng,
             &mut profile,
             &self.frozen,
             &self.rows,
-            &ctx,
         );
-        self.current = self
-            .engine
-            .cost_with_on(&self.placement, &mut self.scratch, &ctx);
+        self.current = self.engine.cost_with(&self.placement, &mut self.scratch);
         self.evaluations += 1;
         if self.current.mu > self.best.mu {
             self.best = self.current;
@@ -261,20 +245,12 @@ fn build_island(
     index: usize,
     engine: &Arc<SimEEngine>,
     initial: &Placement,
-    pool: Option<Arc<WorkerPool>>,
-    eval_chunks: usize,
 ) -> Box<dyn Optimizer> {
     let seed = engine.config().seed ^ ((index as u64 + 1) << 48);
     let num_rows = engine.config().num_rows;
     let evaluator = engine.evaluator().clone();
     match kind {
-        IslandKind::SimE => Box::new(SimeIsland::new(
-            Arc::clone(engine),
-            initial.clone(),
-            seed,
-            pool,
-            eval_chunks,
-        )),
+        IslandKind::SimE => Box::new(SimeIsland::new(Arc::clone(engine), initial.clone(), seed)),
         IslandKind::Ga => Box::new(GaIsland::new(
             evaluator,
             GaConfig {
@@ -346,8 +322,6 @@ pub fn run_portfolio_ctl(
     );
     let started = Instant::now();
     let executor = backend.executor();
-    let pool = executor.pool();
-    let eval_chunks = executor.effective_eval_chunks(backend);
 
     let netlist = engine.evaluator().netlist().clone();
     let num_cells = netlist.num_cells();
@@ -364,16 +338,7 @@ pub fn run_portfolio_ctl(
     let mut islands: Vec<Option<Box<dyn Optimizer>>> = composition
         .iter()
         .enumerate()
-        .map(|(i, &kind)| {
-            Some(build_island(
-                kind,
-                i,
-                &shared,
-                &initial,
-                pool.clone(),
-                eval_chunks,
-            ))
-        })
+        .map(|(i, &kind)| Some(build_island(kind, i, &shared, &initial)))
         .collect();
 
     let mut best_cost = engine.evaluator().evaluate(&initial);
@@ -468,7 +433,6 @@ pub fn run_portfolio_ctl(
         mu_history,
         wall_seconds: started.elapsed().as_secs_f64(),
         backend: backend.label(),
-        eval_chunks,
     }
 }
 

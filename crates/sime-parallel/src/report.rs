@@ -39,14 +39,8 @@ pub struct StrategyOutcome {
     /// *not* covered by the determinism contract (`DESIGN.md` §4).
     pub wall_seconds: f64,
     /// Label of the execution backend that produced the run
-    /// (`"modeled"`, `"threaded(4)"`, `"threaded(4,ev2)"`, …).
+    /// (`"modeled"`, `"threaded(4)"`, `"shared(2)"`, …).
     pub backend: String,
-    /// Effective intra-rank evaluation parallelism of the run: the number of
-    /// chunks each rank's goodness/trial-scoring loops actually fanned out
-    /// into (1 when the backend has no pool or the `EvalParallelism` knob is
-    /// off). Covered by the determinism contract: changing it never changes
-    /// any other field except `wall_seconds`.
-    pub eval_chunks: usize,
 }
 
 impl StrategyOutcome {
@@ -213,7 +207,6 @@ mod tests {
             mu_history: vec![],
             wall_seconds: 0.0,
             backend: "modeled".into(),
-            eval_chunks: 1,
         };
         assert!((outcome.quality_fraction_of(baseline.best_mu()) - 1.0).abs() < 1e-12);
         assert!(outcome.quality_fraction_of(baseline.best_mu() * 2.0) < 1.0);

@@ -52,7 +52,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use sime_core::engine::SimEEngine;
-use sime_core::parallel::{chunk_ranges, EvalContext};
 use sime_core::profile::ProfileReport;
 use std::sync::Arc;
 use std::time::Instant;
@@ -76,9 +75,6 @@ pub struct Type1Config {
 struct EvalScratch {
     lengths: Vec<f64>,
     filled: Vec<bool>,
-    /// Per-chunk goodness output buffers of the intra-rank parallel read-off
-    /// (reused across iterations, like the engine's `SimEScratch`).
-    chunk_goodness: Vec<Vec<f64>>,
 }
 
 impl EvalScratch {
@@ -86,7 +82,6 @@ impl EvalScratch {
         EvalScratch {
             lengths: vec![0.0; num_nets],
             filled: vec![false; num_nets],
-            chunk_goodness: Vec::new(),
         }
     }
 }
@@ -113,31 +108,18 @@ pub fn partition_goodness(
     cells: &[CellId],
 ) -> Vec<f64> {
     let mut scratch = EvalScratch::new(engine.evaluator().netlist().num_nets());
-    partition_goodness_with(
-        engine,
-        placement,
-        cells,
-        &mut scratch,
-        &EvalContext::serial(),
-    )
+    partition_goodness_with(engine, placement, cells, &mut scratch)
 }
 
 /// [`partition_goodness`] over caller-owned buffers (the allocation-free
 /// variant the strategy loop uses). Stale `lengths` entries from earlier
 /// calls are never read: every net a cell's goodness touches is (re)filled
 /// for the current placement before the goodness pass.
-///
-/// Under a chunked [`EvalContext`] the sparse net-length fill stays serial
-/// (it deduplicates through the `filled` mask) and the per-cell goodness
-/// read-off fans out in index-contiguous chunks of the partition, merged in
-/// chunk order — bitwise identical to the serial read-off for any chunk
-/// count (DESIGN.md §4, intra-rank extension).
 fn partition_goodness_with(
     engine: &SimEEngine,
     placement: &Placement,
     cells: &[CellId],
     scratch: &mut EvalScratch,
-    ctx: &EvalContext<'_>,
 ) -> Vec<f64> {
     let goodness = engine.goodness();
     let evaluator = goodness.evaluator();
@@ -159,42 +141,14 @@ fn partition_goodness_with(
             }
         }
     }
-    match ctx.fan_out() {
-        None => cells
-            .iter()
-            .map(|&cell| {
-                goodness
-                    .cell_goodness_from_lengths(cell, &scratch.lengths)
-                    .combined
-            })
-            .collect(),
-        Some((pool, chunks)) => {
-            let ranges = chunk_ranges(cells.len(), chunks);
-            if scratch.chunk_goodness.len() < ranges.len() {
-                scratch.chunk_goodness.resize_with(ranges.len(), Vec::new);
-            }
-            let lengths: &[f64] = &scratch.lengths;
-            let chunks_used = ranges.len();
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = scratch.chunk_goodness[..chunks_used]
-                .iter_mut()
-                .zip(ranges)
-                .map(|(buf, range)| {
-                    Box::new(move || {
-                        buf.clear();
-                        buf.extend(cells[range].iter().map(|&cell| {
-                            goodness.cell_goodness_from_lengths(cell, lengths).combined
-                        }));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.run_scoped_tasks(tasks);
-            let mut out = Vec::with_capacity(cells.len());
-            for buf in &scratch.chunk_goodness[..chunks_used] {
-                out.extend_from_slice(buf);
-            }
-            out
-        }
-    }
+    cells
+        .iter()
+        .map(|&cell| {
+            goodness
+                .cell_goodness_from_lengths(cell, &scratch.lengths)
+                .combined
+        })
+        .collect()
 }
 
 /// Runs the Type I parallel SimE strategy on the default [`Modeled`] backend.
@@ -245,8 +199,6 @@ pub fn run_type1_ctl(
     );
     let started = Instant::now();
     let executor = backend.executor();
-    let pool = executor.pool();
-    let eval_chunks = executor.effective_eval_chunks(backend);
 
     let netlist = engine.evaluator().netlist().clone();
     let num_cells = netlist.num_cells();
@@ -311,11 +263,9 @@ pub fn run_type1_ctl(
                 let snapshot = Arc::clone(&snapshot);
                 let partition = Arc::clone(partition);
                 let mut scratch = slot.take().expect("evaluation scratch in flight");
-                let pool = pool.clone();
                 Box::new(move || {
-                    let ctx = EvalContext::from_pool(pool.as_deref(), eval_chunks);
                     let part =
-                        partition_goodness_with(&engine, &snapshot, &partition, &mut scratch, &ctx);
+                        partition_goodness_with(&engine, &snapshot, &partition, &mut scratch);
                     (part, scratch)
                 }) as Task<EvalOutput>
             })
@@ -341,8 +291,7 @@ pub fn run_type1_ctl(
         //    selection and allocation work is charged to the master, plus the
         //    extra cost recalculations for non-partition cells.
         let mut profile = ProfileReport::new();
-        let master_ctx = EvalContext::from_pool(pool.as_deref(), eval_chunks);
-        let (selected, alloc_stats) = engine.select_and_allocate_on(
+        let (selected, alloc_stats) = engine.select_and_allocate(
             &mut placement,
             &mut scratch,
             &goodness,
@@ -350,7 +299,6 @@ pub fn run_type1_ctl(
             &mut profile,
             &[],
             &[],
-            &master_ctx,
         );
         let alloc_evals = alloc_stats.net_evaluations as f64;
         timeline.charge_compute(
@@ -361,11 +309,7 @@ pub fn run_type1_ctl(
             },
         );
 
-        // The post-iteration cost refresh rides the same epoch machinery as
-        // the rest of the master's work: the wide delta left by the
-        // allocation pass fans its per-net recomputations over the pool
-        // (bitwise identical to the serial refresh).
-        let cost = engine.cost_with_on(&placement, &mut scratch, &master_ctx);
+        let cost = engine.cost_with(&placement, &mut scratch);
         mu_history.push(cost.mu);
         if cost.mu > best_cost.mu {
             best_cost = cost;
@@ -386,7 +330,6 @@ pub fn run_type1_ctl(
         mu_history,
         wall_seconds: started.elapsed().as_secs_f64(),
         backend: backend.label(),
-        eval_chunks,
     }
 }
 
@@ -471,36 +414,6 @@ mod tests {
             assert_eq!(modeled.modeled_seconds, threaded.modeled_seconds);
             assert_eq!(modeled.comm, threaded.comm);
             for (a, b) in modeled.mu_history.iter().zip(&threaded.mu_history) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn type1_intra_rank_chunks_agree_bitwise() {
-        // The EvalParallelism knob must change nothing but wall-clock: the
-        // chunked partition read-off and the master's chunked trial scoring
-        // reproduce the modeled trajectory to the bit.
-        let engine = engine(4);
-        let config = Type1Config {
-            ranks: 3,
-            iterations: 4,
-        };
-        let modeled = run_type1(&engine, ClusterConfig::paper_cluster(3), config);
-        assert_eq!(modeled.eval_chunks, 1);
-        for chunks in [2, 4] {
-            let intra = run_type1_on(
-                &engine,
-                ClusterConfig::paper_cluster(3),
-                config,
-                &Threaded::new(2).with_eval_chunks(chunks),
-            );
-            assert_eq!(intra.eval_chunks, chunks);
-            assert_eq!(intra.backend, format!("threaded(2,ev{chunks})"));
-            assert_eq!(modeled.best_cost.mu.to_bits(), intra.best_cost.mu.to_bits());
-            assert_eq!(modeled.modeled_seconds, intra.modeled_seconds);
-            assert_eq!(modeled.comm, intra.comm);
-            for (a, b) in modeled.mu_history.iter().zip(&intra.mu_history) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }

@@ -56,7 +56,6 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use sime_core::allocation::AllocationStats;
 use sime_core::engine::{SimEEngine, SimEScratch};
-use sime_core::parallel::EvalContext;
 use sime_core::profile::ProfileReport;
 use std::sync::Arc;
 use std::time::Instant;
@@ -193,8 +192,6 @@ pub fn run_type2_ctl(
     );
     let started = Instant::now();
     let executor = backend.executor();
-    let pool = executor.pool();
-    let eval_chunks = executor.effective_eval_chunks(backend);
 
     let netlist = engine.evaluator().netlist().clone();
     let num_cells = netlist.num_cells();
@@ -216,10 +213,6 @@ pub fn run_type2_ctl(
         })
         .collect();
     let mut master_scratch = engine.new_scratch();
-    // The master's merge evaluation rebuilds a fresh placement object every
-    // iteration, so its cost refresh is always a *full* (every-net) pass —
-    // the widest refresh in any driver. Fan it out over the pool.
-    let master_ctx = EvalContext::from_pool(pool.as_deref(), eval_chunks);
 
     let mut best_placement = placement.clone();
     let mut best_cost = engine.evaluator().evaluate(&placement);
@@ -276,18 +269,15 @@ pub fn run_type2_ctl(
             let engine = Arc::clone(&shared);
             let mut local = placement.clone();
             let rows = rows.clone();
-            let pool = pool.clone();
             tasks.push(Box::new(move || {
-                let ctx = EvalContext::from_pool(pool.as_deref(), eval_chunks);
                 let mut profile = ProfileReport::new();
-                let (_avg, _selected, alloc_stats) = engine.iterate_on(
+                let (_avg, _selected, alloc_stats) = engine.iterate(
                     &mut local,
                     &mut state.scratch,
                     &mut state.rng,
                     &mut profile,
                     &frozen,
                     &rows,
-                    &ctx,
                 );
                 let out_rows = rows.iter().map(|&r| (r, local.row(r).to_vec())).collect();
                 (state, out_rows, alloc_stats)
@@ -321,7 +311,7 @@ pub fn run_type2_ctl(
         placement = Placement::from_rows(&netlist, merged_rows);
         timeline.charge_compute(0, &Workload::misc(num_cells as u64));
 
-        let cost = engine.cost_with_on(&placement, &mut master_scratch, &master_ctx);
+        let cost = engine.cost_with(&placement, &mut master_scratch);
         mu_history.push(cost.mu);
         if cost.mu > best_cost.mu {
             best_cost = cost;
@@ -342,7 +332,6 @@ pub fn run_type2_ctl(
         mu_history,
         wall_seconds: started.elapsed().as_secs_f64(),
         backend: backend.label(),
-        eval_chunks,
     }
 }
 
@@ -435,7 +424,7 @@ mod tests {
                 pattern,
             };
             let modeled = run_type2(&engine, ClusterConfig::paper_cluster(4), config);
-            for workers in [1, 3] {
+            for workers in [1, 2, 3] {
                 let threaded = run_type2_on(
                     &engine,
                     ClusterConfig::paper_cluster(4),
@@ -458,38 +447,6 @@ mod tests {
                         threaded.best_placement.row(row)
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn type2_intra_rank_chunks_agree_bitwise() {
-        let engine = engine(4);
-        let config = Type2Config {
-            ranks: 3,
-            iterations: 4,
-            pattern: RowPattern::Random,
-        };
-        let modeled = run_type2(&engine, ClusterConfig::paper_cluster(3), config);
-        for chunks in [2, 3] {
-            let intra = run_type2_on(
-                &engine,
-                ClusterConfig::paper_cluster(3),
-                config,
-                &Threaded::new(2).with_eval_chunks(chunks),
-            );
-            assert_eq!(intra.eval_chunks, chunks);
-            assert_eq!(
-                modeled.best_cost.wirelength.to_bits(),
-                intra.best_cost.wirelength.to_bits()
-            );
-            assert_eq!(modeled.modeled_seconds, intra.modeled_seconds);
-            assert_eq!(modeled.comm, intra.comm);
-            for row in 0..engine.config().num_rows {
-                assert_eq!(
-                    modeled.best_placement.row(row),
-                    intra.best_placement.row(row)
-                );
             }
         }
     }

@@ -57,7 +57,6 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use sime_core::allocation::AllocationStats;
 use sime_core::engine::{SimEEngine, SimEScratch};
-use sime_core::parallel::EvalContext;
 use sime_core::profile::ProfileReport;
 use std::sync::Arc;
 use std::time::Instant;
@@ -144,8 +143,6 @@ pub fn run_type3_ctl(
     );
     let started = Instant::now();
     let executor = backend.executor();
-    let pool = executor.pool();
-    let eval_chunks = executor.effective_eval_chunks(backend);
 
     let netlist = engine.evaluator().netlist().clone();
     let placement_bytes = BYTES_PER_CELL * netlist.num_cells() as u64;
@@ -190,23 +187,17 @@ pub fn run_type3_ctl(
             .map(|slot| {
                 let mut worker = slot.take().expect("worker state in flight");
                 let engine = Arc::clone(&shared);
-                let pool = pool.clone();
                 Box::new(move || {
-                    let ctx = EvalContext::from_pool(pool.as_deref(), eval_chunks);
                     let mut profile = ProfileReport::new();
-                    let (_avg, _selected, alloc_stats) = engine.iterate_on(
+                    let (_avg, _selected, alloc_stats) = engine.iterate(
                         &mut worker.placement,
                         &mut worker.scratch,
                         &mut worker.rng,
                         &mut profile,
                         &[],
                         &[],
-                        &ctx,
                     );
-                    // The worker's post-iteration cost refresh joins the same
-                    // intra-rank context as its evaluation/allocation fan-outs
-                    // (bitwise identical to the serial refresh).
-                    let cost = engine.cost_with_on(&worker.placement, &mut worker.scratch, &ctx);
+                    let cost = engine.cost_with(&worker.placement, &mut worker.scratch);
                     (worker, cost, alloc_stats)
                 }) as Task<WorkerOutput>
             })
@@ -283,7 +274,6 @@ pub fn run_type3_ctl(
         mu_history,
         wall_seconds: started.elapsed().as_secs_f64(),
         backend: backend.label(),
-        eval_chunks,
     }
 }
 
@@ -362,32 +352,6 @@ mod tests {
             assert_eq!(modeled.modeled_seconds, threaded.modeled_seconds);
             assert_eq!(modeled.comm, threaded.comm);
             for (a, b) in modeled.mu_history.iter().zip(&threaded.mu_history) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn type3_intra_rank_chunks_agree_bitwise() {
-        let engine = engine(5);
-        let config = Type3Config {
-            ranks: 3,
-            iterations: 5,
-            retry_threshold: 2,
-        };
-        let modeled = run_type3(&engine, ClusterConfig::paper_cluster(3), config);
-        for chunks in [2, 4] {
-            let intra = run_type3_on(
-                &engine,
-                ClusterConfig::paper_cluster(3),
-                config,
-                &Threaded::new(2).with_eval_chunks(chunks),
-            );
-            assert_eq!(intra.eval_chunks, chunks);
-            assert_eq!(modeled.best_cost.mu.to_bits(), intra.best_cost.mu.to_bits());
-            assert_eq!(modeled.modeled_seconds, intra.modeled_seconds);
-            assert_eq!(modeled.comm, intra.comm);
-            for (a, b) in modeled.mu_history.iter().zip(&intra.mu_history) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }

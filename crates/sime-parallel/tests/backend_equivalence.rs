@@ -116,42 +116,6 @@ proptest! {
         );
     }
 
-    /// The intra-rank `EvalParallelism` knob is bitwise-neutral on seeded
-    /// paper-tier netlists: chunked goodness/trial-scoring reproduces the
-    /// serial (modeled) trajectory for every strategy and chunk count.
-    #[test]
-    fn intra_rank_chunks_match_serial(
-        (netlist, seed) in arb_netlist(),
-        iterations in 3usize..5,
-        chunks in 2usize..5,
-    ) {
-        let engine = engine_for(netlist, seed, iterations);
-        let ranks = 4;
-        let cluster = ClusterConfig::paper_cluster(ranks);
-        let intra = Threaded::new(2).with_eval_chunks(chunks);
-
-        let t1_cfg = Type1Config { ranks, iterations };
-        assert_bitwise_equal(
-            &run_type1(&engine, cluster, t1_cfg),
-            &run_type1_on(&engine, cluster, t1_cfg, &intra),
-            &format!("type1 ev{chunks}"),
-        );
-
-        let t2_cfg = Type2Config { ranks, iterations, pattern: RowPattern::Random };
-        assert_bitwise_equal(
-            &run_type2(&engine, cluster, t2_cfg),
-            &run_type2_on(&engine, cluster, t2_cfg, &intra),
-            &format!("type2 ev{chunks}"),
-        );
-
-        let t3_cfg = Type3Config { ranks, iterations, retry_threshold: 1 };
-        assert_bitwise_equal(
-            &run_type3(&engine, cluster, t3_cfg),
-            &run_type3_on(&engine, cluster, t3_cfg, &intra),
-            &format!("type3 ev{chunks}"),
-        );
-    }
-
     /// The incremental goodness cache is bitwise-neutral under the parallel
     /// strategies: disabling it (full per-epoch rebuilds) leaves the Type II
     /// and Type III trajectories — whose random row patterns and rank merges
@@ -208,24 +172,22 @@ proptest! {
         );
     }
 
-    /// The fused-epoch execution path (persistent worker lanes, wave-prepared
-    /// windowed allocation, fanned net-length refresh) is bitwise identical
-    /// to the pre-fusion serial trajectory for a *random* point of the whole
-    /// configuration space: circuit, strategy, seed, worker count (including
-    /// oversubscribed pools) and eval-chunk count are all drawn by proptest.
+    /// The fused-epoch execution path (persistent worker lanes) is bitwise
+    /// identical to the serial trajectory for a *random* point of the whole
+    /// configuration space: circuit, strategy, seed and worker count
+    /// (including oversubscribed pools) are all drawn by proptest.
     #[test]
     fn fused_epoch_matches_serial(
         (netlist, seed) in arb_netlist(),
         iterations in 3usize..5,
         strategy in 0usize..3,
         workers in 1usize..9,
-        chunks in 1usize..8,
     ) {
         let engine = engine_for(netlist, seed, iterations);
         let ranks = 4;
         let cluster = ClusterConfig::paper_cluster(ranks);
-        let fused = Threaded::new(workers).with_eval_chunks(chunks);
-        let context = format!("fused strategy={strategy} workers={workers} ev{chunks}");
+        let fused = Threaded::new(workers);
+        let context = format!("fused strategy={strategy} workers={workers}");
 
         match strategy {
             0 => {
@@ -253,39 +215,6 @@ proptest! {
                 );
             }
         }
-    }
-}
-
-/// The intra-rank contract at extended-tier scale: one engine on the s5378
-/// suite circuit, Type II random replayed with 2 and 4 chunks against the
-/// modeled baseline. (The golden suite additionally pins s9234 this way; the
-/// quick scenario matrix sweeps the remaining extended circuits.)
-#[test]
-fn intra_rank_chunks_match_serial_on_s5378() {
-    use vlsi_netlist::bench_suite::SuiteCircuit;
-    let circuit = SuiteCircuit::from_name("s5378").expect("suite circuit");
-    let netlist = Arc::new(circuit.generate());
-    let iterations = 2;
-    let config =
-        SimEConfig::paper_defaults(Objectives::WirelengthPower, circuit.num_rows(), iterations);
-    let engine = SimEEngine::new(netlist, config);
-    let ranks = 4;
-    let cluster = ClusterConfig::paper_cluster(ranks);
-    let t2_cfg = Type2Config {
-        ranks,
-        iterations,
-        pattern: RowPattern::Random,
-    };
-    let modeled = run_type2(&engine, cluster, t2_cfg);
-    for chunks in [2, 4] {
-        let intra = run_type2_on(
-            &engine,
-            cluster,
-            t2_cfg,
-            &Threaded::new(2).with_eval_chunks(chunks),
-        );
-        assert_eq!(intra.eval_chunks, chunks);
-        assert_bitwise_equal(&modeled, &intra, &format!("s5378 type2 ev{chunks}"));
     }
 }
 

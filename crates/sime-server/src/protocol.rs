@@ -104,8 +104,9 @@ impl From<&sime_parallel::JobError> for ProtocolError {
 pub struct SubmitRequest {
     /// Client-chosen job identifier; must be unique per server lifetime.
     pub id: String,
-    /// What to run. `spec.scenario.workers`/`eval_chunks` are the per-job
-    /// backend knobs; `spec.seed` overrides the batch-path default seed.
+    /// What to run. Every job runs on the server's shared pool, so
+    /// `spec.scenario.workers` only travels with the spec; `spec.seed`
+    /// overrides the batch-path default seed.
     pub spec: JobSpec,
 }
 
@@ -211,10 +212,6 @@ impl Request {
                     }
                 };
                 let workers = obj_opt_u64(&map, "workers")?.map(|w| w as usize);
-                let eval_chunks = match map.get("eval_chunks") {
-                    None => 1,
-                    Some(_) => obj_usize(&map, "eval_chunks")?.max(1),
-                };
                 let seed = obj_opt_u64(&map, "seed")?;
                 let warm_start = match map.get("warm_start") {
                     None | Some(Json::Null) => None,
@@ -235,7 +232,7 @@ impl Request {
                             iterations,
                             objectives,
                             workers,
-                            eval_chunks,
+                            eval_chunks: 1,
                             warm_start,
                         },
                         seed,
@@ -279,12 +276,6 @@ impl Request {
                 );
                 if let Some(workers) = scenario.workers {
                     map.insert("workers".into(), Json::Number(workers as f64));
-                }
-                if scenario.eval_chunks != 1 {
-                    map.insert(
-                        "eval_chunks".into(),
-                        Json::Number(scenario.eval_chunks as f64),
-                    );
                 }
                 if let Some(seed) = submit.spec.seed {
                     map.insert("seed".into(), Json::Number(seed as f64));
@@ -561,7 +552,7 @@ mod tests {
                     iterations: 5,
                     objectives: Objectives::WirelengthPower,
                     workers: Some(2),
-                    eval_chunks: 2,
+                    eval_chunks: 1,
                     warm_start: None,
                 },
                 seed: Some(42),
@@ -695,6 +686,14 @@ mod tests {
             }
             other => panic!("unexpected request {other:?}"),
         }
+        // Older clients may still send `eval_chunks`; like any unknown key it
+        // is ignored.
+        let legacy = "{\"op\":\"submit\",\"id\":\"a\",\"circuit\":\"s1196\",\
+                      \"strategy\":\"type1\",\"ranks\":3,\"iterations\":5,\"eval_chunks\":4}";
+        assert_eq!(
+            Request::parse_line(legacy, 4096).unwrap(),
+            Request::parse_line(line, 4096).unwrap()
+        );
     }
 
     #[test]

@@ -301,8 +301,7 @@ impl Server {
                 });
             }
         });
-        let backend =
-            SharedPool::new(Arc::clone(&self.pool)).with_eval_chunks(job.spec.scenario.eval_chunks);
+        let backend = SharedPool::new(Arc::clone(&self.pool));
         let result = self.runner.run_job(&job.spec, &backend, &control);
         let event = {
             let mut state = self.state.lock().unwrap();

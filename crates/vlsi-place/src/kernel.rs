@@ -313,12 +313,6 @@ impl TrialScorer {
     /// row-lattice position). Requires a preceding
     /// [`TrialScorer::prepare_cell`] for this cell under the current
     /// placement; bitwise identical to [`CostEvaluator::cell_cost_at`].
-    ///
-    /// Takes `&self`: the prepared summaries are immutable once built, so one
-    /// prepared scorer can be **shared across worker threads** (`TrialScorer`
-    /// is `Sync`) and the candidate slots of one allocation scored in
-    /// parallel chunks — the intra-rank trial-scoring fan-out of
-    /// `sime_core::allocation`.
     pub fn prepared_cost_at(&self, pos: (f64, f64)) -> CellCost {
         summaries_cost_at(&self.prepared, &self.hist, self.model, pos)
     }
@@ -383,10 +377,9 @@ impl TrialScorer {
 
 /// Builds the per-net summaries of `cell`'s incident nets into
 /// `prepared`/`hist`, using `row_counts` as the per-row counting scratch
-/// (left all-zero afterwards). Shared body of [`TrialScorer::prepare_cell`]
-/// and [`PreparedCell::prepare`]; a pure function of the *other* pins'
-/// positions, so equal placements yield bit-equal summaries no matter which
-/// buffer (or thread) runs the pass.
+/// (left all-zero afterwards). The body of [`TrialScorer::prepare_cell`]; a
+/// pure function of the *other* pins' positions, so equal placements yield
+/// bit-equal summaries.
 ///
 /// Also fills `pin_xs` with every other pin's x coordinate in canonical
 /// walk order (the legacy windowed-candidate gather multiset) and computes
@@ -491,8 +484,7 @@ fn build_cell_summaries(
 }
 
 /// Scores one candidate position against a set of per-net summaries — the
-/// shared body of [`TrialScorer::prepared_cost_at`] and
-/// [`PreparedCell::cost_at`].
+/// body of [`TrialScorer::prepared_cost_at`].
 fn summaries_cost_at(
     prepared: &[NetSummary],
     hist_arena: &[(u32, u32)],
@@ -544,8 +536,8 @@ fn summaries_cost_at(
     cost
 }
 
-/// Borrowed view over the per-net summaries of one prepared cell (from
-/// either a [`TrialScorer`] or a [`PreparedCell`]), exposing the candidate
+/// Borrowed view over the per-net summaries of one prepared cell (from a
+/// [`TrialScorer`]), exposing the candidate
 /// **score lower bound** and the median-position machinery that the
 /// allocation operator's pruned trial scan builds on.
 ///
@@ -818,89 +810,6 @@ impl<'a> PreparedSummaries<'a> {
     }
 }
 
-/// Detached snapshot of the per-net summaries [`TrialScorer::prepare_cell`]
-/// builds for one cell, with its own counting scratch — so the prepare
-/// passes of *many* cells can run concurrently on different worker threads
-/// (one snapshot buffer per cell) and be scored later through
-/// [`PreparedCell::cost_at`].
-///
-/// The snapshot is a pure function of the *other* pins' positions at
-/// preparation time: it stays bitwise-valid exactly while none of the
-/// prepared cell's net neighbours moves. Staleness tracking is the caller's
-/// job (`sime-core`'s allocation wave records insertion steps); a stale
-/// snapshot must simply be discarded and the cell re-prepared.
-#[derive(Debug, Clone, Default)]
-pub struct PreparedCell {
-    /// Wirelength model recorded at the last prepare (`None` before any).
-    model: Option<WirelengthModel>,
-    prepared: Vec<NetSummary>,
-    hist: Vec<(u32, u32)>,
-    row_counts: Vec<u32>,
-    pin_xs: Vec<f64>,
-}
-
-impl PreparedCell {
-    /// Creates an empty (unprepared) snapshot buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// (Re)builds the snapshot for `cell` under `placement`, producing
-    /// summaries bit-identical to [`TrialScorer::prepare_cell`] on a scorer
-    /// of the same `model`. The buffers are reused across calls.
-    pub fn prepare(
-        &mut self,
-        evaluator: &CostEvaluator,
-        placement: &Placement,
-        cell: CellId,
-        model: WirelengthModel,
-    ) {
-        self.model = Some(model);
-        build_cell_summaries(
-            evaluator,
-            placement,
-            cell,
-            model,
-            &mut self.row_counts,
-            &mut self.prepared,
-            &mut self.hist,
-            &mut self.pin_xs,
-        );
-    }
-
-    /// Borrowed view over this snapshot's summaries, exposing the candidate
-    /// lower-bound and median-position machinery — bitwise identical to
-    /// [`TrialScorer::prepared_summaries`] after an equivalent prepare.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was never prepared.
-    pub fn summaries(&self) -> PreparedSummaries<'_> {
-        PreparedSummaries {
-            model: self
-                .model
-                .expect("PreparedCell::summaries called before prepare"),
-            prepared: &self.prepared,
-            hist: &self.hist,
-            xs: &self.pin_xs,
-        }
-    }
-
-    /// Cost of the prepared cell's nets if it sat at `pos` (a row-lattice
-    /// position). Bitwise identical to [`TrialScorer::prepared_cost_at`]
-    /// after an equivalent prepare.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was never prepared.
-    pub fn cost_at(&self, pos: (f64, f64)) -> CellCost {
-        let model = self
-            .model
-            .expect("PreparedCell::cost_at called before prepare");
-        summaries_cost_at(&self.prepared, &self.hist, model, pos)
-    }
-}
-
 /// Incremental per-net length vector for one evolving placement.
 ///
 /// [`NetLengthCache::refresh`] returns the same vector
@@ -983,11 +892,9 @@ impl NetLengthCache {
     ///
     /// The caller *must* complete the plan by computing each listed net's
     /// length against the same placement and handing the results to
-    /// [`NetLengthCache::store_length`] / [`NetLengthCache::store_lengths`]
-    /// before the next refresh — per-net length is a pure function of the
-    /// placement, so the computations may run on any thread in any order and
-    /// the completed vector is bitwise identical to a monolithic
-    /// [`NetLengthCache::refresh`].
+    /// [`NetLengthCache::store_length`] before the next refresh — per-net
+    /// length is a pure function of the placement, so the completed vector is
+    /// bitwise identical to a monolithic [`NetLengthCache::refresh`].
     pub fn plan_refresh(
         &mut self,
         evaluator: &CostEvaluator,
@@ -1049,15 +956,6 @@ impl NetLengthCache {
     pub fn store_length(&mut self, net: NetId, length: f64) {
         self.lengths[net.index()] = length;
     }
-
-    /// Phase 2 of a split refresh, batched: records the computed `lengths`
-    /// of `nets` (parallel slices, e.g. one chunk of the plan).
-    pub fn store_lengths(&mut self, nets: &[NetId], lengths: &[f64]) {
-        debug_assert_eq!(nets.len(), lengths.len());
-        for (&net, &length) in nets.iter().zip(lengths) {
-            self.lengths[net.index()] = length;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1104,10 +1002,9 @@ mod tests {
 
     #[test]
     fn prepared_scorer_is_shareable_across_threads() {
-        // The intra-rank trial-scoring fan-out scores candidate slots of one
-        // prepared cell from several worker threads at once; the prepared
-        // state must be readable through `&TrialScorer` (Sync) and produce
-        // the serial bits from every thread.
+        // Scoring a prepared cell takes `&TrialScorer`: the prepared state
+        // must be readable from any thread through a shared reference (Sync)
+        // and produce the serial bits there.
         fn assert_sync<T: Sync>() {}
         assert_sync::<TrialScorer>();
 
@@ -1206,54 +1103,6 @@ mod tests {
                     cell,
                     Slot {
                         row: back,
-                        index: 0,
-                    },
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn prepared_cell_snapshot_matches_scorer_bitwise() {
-        // A detached `PreparedCell` snapshot must score candidate positions
-        // bit-for-bit like the scorer it mirrors — this is what lets the
-        // allocation wave prepare many cells on worker threads and still
-        // keep the trajectory bitwise-serial.
-        for model in [
-            WirelengthModel::SingleTrunkSteiner,
-            WirelengthModel::HalfPerimeter,
-        ] {
-            let (eval, mut placement) = setup(model);
-            let mut scorer = TrialScorer::for_evaluator(&eval);
-            let mut snapshot = PreparedCell::new();
-            let mut rng = ChaCha8Rng::seed_from_u64(21);
-            for _ in 0..40 {
-                let cell =
-                    vlsi_netlist::CellId(rng.gen_range(0..eval.netlist().num_cells() as u32));
-                placement.remove_cell(cell);
-                scorer.prepare_cell(&eval, &placement, cell);
-                snapshot.prepare(&eval, &placement, cell, model);
-                for _ in 0..8 {
-                    let row = rng.gen_range(0..placement.num_rows());
-                    let index = rng.gen_range(0..placement.row(row).len() + 1);
-                    let pos = placement.trial_position(cell, Slot { row, index });
-                    let own = scorer.prepared_cost_at(pos);
-                    let detached = snapshot.cost_at(pos);
-                    assert_eq!(
-                        own.wirelength.to_bits(),
-                        detached.wirelength.to_bits(),
-                        "{model:?}"
-                    );
-                    assert_eq!(own.power.to_bits(), detached.power.to_bits());
-                    assert_eq!(
-                        own.critical_wirelength.to_bits(),
-                        detached.critical_wirelength.to_bits()
-                    );
-                }
-                placement.insert_cell(
-                    cell,
-                    Slot {
-                        row: placement.num_rows() - 1,
                         index: 0,
                     },
                 );

@@ -41,7 +41,7 @@ pub use cost::{CostBreakdown, CostEvaluator, Objectives, TimingModel};
 pub use fuzzy::{FuzzyConfig, FuzzyLevel};
 pub use goodness::{GoodnessEvaluator, GoodnessVector};
 pub use interchange::{placement_from_pl, placement_to_pl, rows_to_scl, PlConvertError};
-pub use kernel::{NetLengthCache, PreparedCell, TrialScorer};
+pub use kernel::{NetLengthCache, TrialScorer};
 pub use layout::{Placement, PlacementError, Slot};
 pub use wirelength::{hpwl, single_trunk_steiner, WirelengthModel};
 
@@ -50,7 +50,7 @@ pub mod prelude {
     pub use crate::cost::{CostBreakdown, CostEvaluator, Objectives, TimingModel};
     pub use crate::fuzzy::FuzzyConfig;
     pub use crate::goodness::GoodnessEvaluator;
-    pub use crate::kernel::{NetLengthCache, PreparedCell, TrialScorer};
+    pub use crate::kernel::{NetLengthCache, TrialScorer};
     pub use crate::layout::{Placement, Slot};
     pub use crate::wirelength::WirelengthModel;
 }

@@ -2,8 +2,8 @@
 //!
 //! The golden suite (`tests/golden_suite.rs`) pins the search trajectories;
 //! this suite hammers the *scheduler* underneath them. Every checked-in
-//! golden is replayed across a worker-count × eval-chunk grid on the
-//! threaded backend — including deliberately oversubscribed pools (more OS
+//! golden is replayed across a worker-count grid on the threaded backend —
+//! including deliberately oversubscribed pools (more OS
 //! workers than the host has cores, and far more workers than simulated
 //! ranks) — and must reproduce its pinned fingerprint to the bit. A
 //! proptest family additionally throws random epoch schedules (random task
@@ -14,9 +14,9 @@
 //! Two grid tiers keep tier-1 wall-clock sane:
 //!
 //! * default — a pruned representative sub-grid (one undersubscribed, one
-//!   balanced, one oversubscribed cell per golden);
-//! * `SIME_STRESS_FULL=1` — the full {1,2,3,4,8} × {1,2,4,7} grid, run by
-//!   the release-mode `determinism-stress` CI job.
+//!   balanced, one oversubscribed worker count per golden);
+//! * `SIME_STRESS_FULL=1` — the full {1,2,3,4,8} grid, run by the
+//!   release-mode `determinism-stress` CI job.
 
 use cluster_sim::comm::WorkerPool;
 use proptest::prelude::*;
@@ -24,27 +24,21 @@ use sime_parallel::batch::{BatchDriver, ScenarioSpec, TrajectoryFingerprint};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// The full stress grid of the tentpole: every worker count crossed with
-/// every chunk count, so chunk boundaries land on, under and over the
-/// worker count, and the workers=8 column oversubscribes any CI core count.
+/// The full stress grid: every worker count from one to oversubscribed; the
+/// workers=8 cell oversubscribes any CI core count.
 const STRESS_WORKERS: [usize; 5] = [1, 2, 3, 4, 8];
-const STRESS_CHUNKS: [usize; 4] = [1, 2, 4, 7];
 
-/// The pruned default sub-grid: an undersubscribed cell, a balanced cell
-/// with mid chunking, and a fully oversubscribed cell with the oddest chunk
-/// count. Covers every interesting regime at ~1/7 the full-grid cost.
-const PRUNED_GRID: [(usize, usize); 3] = [(1, 2), (3, 4), (8, 7)];
+/// The pruned default sub-grid: an undersubscribed, a balanced and a fully
+/// oversubscribed worker count.
+const PRUNED_GRID: [usize; 3] = [1, 3, 8];
 
 fn full_grid() -> bool {
     std::env::var("SIME_STRESS_FULL").is_ok_and(|v| v == "1")
 }
 
-fn stress_grid() -> Vec<(usize, usize)> {
+fn stress_grid() -> Vec<usize> {
     if full_grid() {
-        STRESS_WORKERS
-            .iter()
-            .flat_map(|&w| STRESS_CHUNKS.iter().map(move |&c| (w, c)))
-            .collect()
+        STRESS_WORKERS.to_vec()
     } else {
         PRUNED_GRID.to_vec()
     }
@@ -74,7 +68,7 @@ fn load_goldens() -> Vec<(String, ScenarioSpec, TrajectoryFingerprint)> {
 }
 
 #[test]
-fn goldens_replay_bitwise_across_the_worker_chunk_stress_grid() {
+fn goldens_replay_bitwise_across_the_worker_stress_grid() {
     let grid = stress_grid();
     let mut driver = BatchDriver::new();
     for (file, spec, pinned) in load_goldens() {
@@ -85,12 +79,12 @@ fn goldens_replay_bitwise_across_the_worker_chunk_stress_grid() {
             modeled.fingerprint, pinned,
             "modeled replay of {file} diverged from its pinned fingerprint"
         );
-        for &(workers, chunks) in &grid {
-            let record = driver.run_cell(&spec.on_workers(Some(workers)).with_eval_chunks(chunks));
+        for &workers in &grid {
+            let record = driver.run_cell(&spec.on_workers(Some(workers)));
             assert_eq!(
                 record.fingerprint,
                 pinned,
-                "threaded({workers},ev{chunks}) diverged from the pinned \
+                "threaded({workers}) diverged from the pinned \
                  fingerprint of {file} (grid tier: {})",
                 if full_grid() { "full" } else { "pruned" }
             );
@@ -175,11 +169,11 @@ fn pruned_allocation_replays_bitwise_at_stress_worker_counts() {
 
 /// The island portfolio under the stress grid: a mixed 4-island race (SimE +
 /// GA + SA + TS, ring migration every second epoch) replayed across the
-/// pruned worker/chunk grid — including the oversubscribed (8,7) cell — must
+/// worker grid — including the oversubscribed 8-worker cell — must
 /// reproduce the Modeled trajectory bitwise. (The blessed portfolio golden
-/// additionally rides the `goldens_replay_bitwise_across_the_worker_chunk_
-/// stress_grid` sweep above; this test keeps explicit coverage even if the
-/// golden set changes.)
+/// additionally rides the `goldens_replay_bitwise_across_the_worker_stress_
+/// grid` sweep above; this test keeps explicit coverage even if the golden
+/// set changes.)
 #[test]
 fn portfolio_replays_bitwise_across_the_stress_grid() {
     use cluster_sim::timeline::ClusterConfig;
@@ -207,13 +201,8 @@ fn portfolio_replays_bitwise_across_the_stress_grid() {
 
     let reference = run_portfolio(&engine, cluster, cfg);
     assert_eq!(reference.iterations, iterations);
-    for (workers, chunks) in stress_grid() {
-        let outcome = run_portfolio_on(
-            &engine,
-            cluster,
-            cfg,
-            &Threaded::new(workers).with_eval_chunks(chunks),
-        );
+    for workers in stress_grid() {
+        let outcome = run_portfolio_on(&engine, cluster, cfg, &Threaded::new(workers));
         for (i, (a, b)) in reference
             .mu_history
             .iter()
@@ -223,19 +212,19 @@ fn portfolio_replays_bitwise_across_the_stress_grid() {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "portfolio trajectory diverged at epoch {i}, threaded({workers},ev{chunks})"
+                "portfolio trajectory diverged at epoch {i}, threaded({workers})"
             );
         }
         assert_eq!(
             reference.best_cost.mu.to_bits(),
             outcome.best_cost.mu.to_bits(),
-            "threaded({workers},ev{chunks})"
+            "threaded({workers})"
         );
         for row in 0..reference.best_placement.num_rows() {
             assert_eq!(
                 reference.best_placement.row(row),
                 outcome.best_placement.row(row),
-                "best placement differs in row {row}, threaded({workers},ev{chunks})"
+                "best placement differs in row {row}, threaded({workers})"
             );
         }
     }

@@ -124,8 +124,7 @@ fn threaded_backend_is_bitwise_identical_to_modeled_for_every_strategy() {
     // The PR 3 determinism contract through the facade: for each strategy,
     // the Threaded backend at 1, 2 and 4 workers reproduces the Modeled run
     // bit for bit — best cost, modeled time, comm stats and the whole µ(s)
-    // trajectory — and so does the intra-rank EvalParallelism path (PR 5).
-    // Only wall-clock may differ.
+    // trajectory. Only wall-clock may differ.
     let engine = small_engine(Objectives::WirelengthPower, 6, 23);
     let cluster = ClusterConfig::paper_cluster(4);
     let runs: Vec<(&str, StrategyRunner<'_>)> = vec![
@@ -216,21 +215,6 @@ fn threaded_backend_is_bitwise_identical_to_modeled_for_every_strategy() {
                     "{name} best placement diverged in row {row} at {workers} workers"
                 );
             }
-        }
-        for chunks in [2, 4] {
-            let intra = run(&Threaded::new(2).with_eval_chunks(chunks));
-            assert_eq!(intra.backend, format!("threaded(2,ev{chunks})"));
-            assert_eq!(intra.eval_chunks, chunks);
-            assert_eq!(
-                modeled.best_cost.mu.to_bits(),
-                intra.best_cost.mu.to_bits(),
-                "{name} best µ diverged at {chunks} intra-rank chunks"
-            );
-            assert_eq!(
-                modeled.modeled_seconds.to_bits(),
-                intra.modeled_seconds.to_bits(),
-                "{name} modeled time diverged at {chunks} intra-rank chunks"
-            );
         }
     }
 }

@@ -18,9 +18,7 @@
 //!
 //! and the re-bless must be called out in the PR description.
 
-use sime_parallel::batch::{
-    golden_subset, intra_rank_golden_subset, BatchDriver, ScenarioSpec, TrajectoryFingerprint,
-};
+use sime_parallel::batch::{golden_subset, BatchDriver, ScenarioSpec, TrajectoryFingerprint};
 use std::path::PathBuf;
 
 fn golden_dir() -> PathBuf {
@@ -123,39 +121,6 @@ fn golden_trajectories_replay_bitwise_on_the_threaded_backend() {
             assert_eq!(
                 record.fingerprint, pinned,
                 "threaded({workers}) diverged from the pinned fingerprint of {file}"
-            );
-        }
-    }
-}
-
-#[test]
-fn extended_tier_goldens_replay_bitwise_with_intra_rank_parallelism() {
-    // The intra-rank extension of the contract, file-backed: the pinned
-    // extended-tier scenarios (currently s9234 and s5378) replayed with the
-    // EvalParallelism knob at 1, 2 and 4 chunks must reproduce the pinned
-    // serial fingerprints to the bit. 1 chunk doubles as the plain threaded
-    // control; 2 and 4 exercise the chunked goodness pass and trial scoring
-    // at two different boundary layouts.
-    let dir = golden_dir();
-    let mut driver = BatchDriver::new();
-    let intra = intra_rank_golden_subset();
-    assert!(
-        !intra.is_empty(),
-        "the intra-rank golden subset must pin at least one extended-tier scenario"
-    );
-    for spec in intra {
-        let path = dir.join(format!("{}.golden", spec.id()));
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-        let (_, pinned) = TrajectoryFingerprint::parse_text(&text)
-            .unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()));
-        for chunks in [1usize, 2, 4] {
-            let record = driver.run_cell(&spec.on_workers(Some(2)).with_eval_chunks(chunks));
-            assert_eq!(
-                record.fingerprint,
-                pinned,
-                "threaded(2,ev{chunks}) diverged from the pinned fingerprint of {}",
-                spec.id()
             );
         }
     }
